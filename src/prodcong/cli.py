@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import cache
 from math import gcd
 
 import numpy as np
@@ -444,7 +445,10 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--format", choices=("json", "csv"), default="json")
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
+    # Built once per process: parse_args leaves the parser unchanged, and
+    # building it costs far more than one parse.
     parser = argparse.ArgumentParser(
         prog="prodcong",
         description="Exact experiments with products of small residues: solvers, scans, and diagnostics.",

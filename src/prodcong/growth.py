@@ -19,7 +19,7 @@ import numpy as np
 from .arith import euler_phi, floor_power, is_prime
 from .charsums import nonresidue_cap
 from .errors import DomainError, NotRepresentableError, ResourceError
-from .residues import ResidueSet, WitnessedSet, product_set, units_mask
+from .residues import ResidueSet, WitnessedSet, _WitnessView, product_set, units_mask
 
 DEFAULT_N_MAX = 64
 
@@ -50,7 +50,8 @@ def build_generator_set(
     if cutoff < 1:
         raise DomainError("cutoff must be >= 1")
     xs = [x for x in range(1, min(cutoff, m) + 1) if gcd(x, m) == 1]
-    base = WitnessedSet(ResidueSet.from_members(m, xs), {x: (x,) for x in xs})
+    members = ResidueSet.from_members(m, xs)
+    base = WitnessedSet(members, _WitnessView(members, lambda x: (x,)))
     return GeneratorSet(m, c, cutoff, base)
 
 
@@ -69,29 +70,56 @@ def is_subgroup(s: ResidueSet) -> bool:
     return bool(s.mask[table.reshape(-1)].all())
 
 
-def _step_mask(m: int, current: np.ndarray, gen_members: list[int]) -> np.ndarray:
-    mask = current.copy()
-    cur_members = np.nonzero(current)[0].astype(np.int64)
+def _step(
+    m: int,
+    mask: np.ndarray,
+    frontier: np.ndarray,
+    gen_members: list[int],
+    parent: np.ndarray,
+    factor: np.ndarray,
+) -> np.ndarray:
+    """Grow A^n (marked in mask) to A^(n+1) in place and return the new members.
+
+    frontier holds A^n minus A^(n-1): as 1 is in A, A^(n-1) * A already lies
+    in A^n, so only the newest layer can reach new members. Generators are
+    units, so each row a * frontier is free of repeats. Generators run in
+    ascending order and a new member r keeps the first pair that reaches it:
+    parent[r] is its predecessor and factor[r] the generator applied.
+    """
+    fresh = []
     for a in gen_members:
-        mask[(a * cur_members) % m] = True
-    return mask
+        prods = (a * frontier) % m
+        hit = ~mask[prods]
+        if hit.any():
+            new = prods[hit]
+            mask[new] = True
+            parent[new] = frontier[hit]
+            factor[new] = a
+            fresh.append(new)
+    return np.concatenate(fresh) if fresh else frontier[:0]
 
 
-def _step_witnessed(m: int, s: WitnessedSet, gen_members: list[int]) -> WitnessedSet:
-    # New members are discovered in ascending (generator, member) order and
-    # keep the first witness found; existing members keep their shorter one.
-    mask = s.base.mask.copy()
-    mem = s.base.members
-    wit = dict(s.witness)
-    for a in gen_members:
-        prods = (a * mem) % m
-        fresh = ~mask[prods]
-        if fresh.any():
-            idx = np.nonzero(fresh)[0]
-            mask[prods[idx]] = True
-            for i in idx.tolist():
-                wit[int(prods[i])] = wit[int(mem[i])] + (a,)
-    return WitnessedSet(ResidueSet(m, mask), wit)
+def _chain_start(gen: GeneratorSet):
+    """Mask, frontier and parent/factor arrays for A^1, whose members are
+    their own one-factor witnesses."""
+    if 1 not in gen.base:
+        raise AssertionError("1 must be in A, or the growth chain can lose a member")
+    members = gen.base.members
+    parent = np.full(gen.modulus, -1, dtype=np.int64)
+    factor = np.zeros(gen.modulus, dtype=np.int64)
+    factor[members] = members
+    return gen.base.mask.copy(), members, parent, factor
+
+
+def _parent_witness(parent: np.ndarray, factor: np.ndarray):
+    def rebuild(r: int) -> tuple[int, ...]:
+        out = []
+        while r >= 0:
+            out.append(int(factor[r]))
+            r = int(parent[r])
+        return tuple(reversed(out))
+
+    return rebuild
 
 
 @dataclass
@@ -135,27 +163,25 @@ def power_set_sequence(
     m = gen.modulus
     phi = euler_phi(m)
     gen_members = [int(x) for x in gen.base.members]
-    s = gen.base if with_witness else WitnessedSet(gen.base.base, None)
-    cards = [s.cardinality]
+    mask, frontier, parent, factor = _chain_start(gen)
+    card = frontier.size
+    cards = [card]
     n = 1
-    n_stab: Optional[int] = 1 if s.cardinality == phi else None
+    n_stab: Optional[int] = 1 if card == phi else None
     while n_stab is None and n < n_max:
-        if with_witness:
-            t = _step_witnessed(m, s, gen_members)
-        else:
-            t = WitnessedSet(ResidueSet(m, _step_mask(m, s.base.mask, gen_members)), None)
-        if (s.base.mask & ~t.base.mask).any():
-            raise AssertionError("growth chain lost a member; 1 must be in A")
-        cards.append(t.cardinality)
-        if t.cardinality == s.cardinality:
+        frontier = _step(m, mask, frontier, gen_members, parent, factor)
+        card += frontier.size
+        cards.append(card)
+        if frontier.size == 0:
             n_stab = n
-            s = t
         else:
-            s = t
             n += 1
-            if s.cardinality == phi:
+            if card == phi:
                 n_stab = n
 
+    base = ResidueSet(m, mask)
+    witness = _WitnessView(base, _parent_witness(parent, factor)) if with_witness else None
+    s = WitnessedSet(base, witness)
     closed = is_subgroup(s.base) if n_stab is not None else False
     if n_stab is not None and not closed:
         raise AssertionError("stabilized set failed the closure check")
@@ -184,17 +210,13 @@ def nth_power_set(gen: GeneratorSet, n: int) -> ResidueSet:
     """A^n as a plain set (stops early once the chain stabilizes)."""
     if n < 1:
         raise DomainError("n must be >= 1")
-    m = gen.modulus
+    mask, frontier, parent, factor = _chain_start(gen)
     gen_members = [int(x) for x in gen.base.members]
-    mask = gen.base.base.mask
-    card = int(mask.sum())
     for _ in range(n - 1):
-        nxt = _step_mask(m, mask, gen_members)
-        nxt_card = int(nxt.sum())
-        if nxt_card == card:
+        frontier = _step(gen.modulus, mask, frontier, gen_members, parent, factor)
+        if frontier.size == 0:
             break
-        mask, card = nxt, nxt_card
-    return ResidueSet(m, mask)
+    return ResidueSet(gen.modulus, mask)
 
 
 class OlsonCheck(NamedTuple):

@@ -8,20 +8,22 @@ validate 0-exclusion at their own boundary.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import prod
-from typing import Iterable, NamedTuple, Optional
+from operator import index
+from typing import Callable, Iterable, NamedTuple, Optional
 
 import numpy as np
 
 from .arith import is_prime
 from .errors import DomainError
 
-# Pairwise kernels materialize an |S| x |T| outer table below this many cells
-# and fall back to row-at-a-time loops above it.
-_OUTER_CELL_CAP = 1 << 24
+# Pairwise kernels and witness searches build their |S| x |T| tables in row
+# chunks of at most this many cells (one row when a single row is wider).
+_CHUNK_CELLS = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -156,16 +158,41 @@ def _check_same_modulus(s: ResidueSet, t: ResidueSet) -> None:
 
 
 def _pairwise_mask(m: int, left: np.ndarray, right: np.ndarray, op) -> np.ndarray:
+    # op is commutative, so the shorter operand spans the table's columns.
+    # Every chunk reuses one buffer: a fresh table per chunk costs more in
+    # page faults than the arithmetic does.
     out = np.zeros(m, dtype=bool)
     if left.size == 0 or right.size == 0:
         return out
-    if left.size * right.size <= _OUTER_CELL_CAP:
-        out[(op(left[:, None], right[None, :]) % m).reshape(-1)] = True
-        return out
-    short, long_ = (left, right) if left.size <= right.size else (right, left)
-    for v in short.tolist():
-        out[op(v, long_) % m] = True
+    rows, cols = (left, right) if left.size >= right.size else (right, left)
+    step = max(1, _CHUNK_CELLS // cols.size)
+    buf = np.empty((min(step, rows.size), cols.size), dtype=np.int64)
+    for start in range(0, rows.size, step):
+        cells = buf[: min(step, rows.size - start)]
+        op(rows[start : start + step, None], cols, out=cells)
+        np.remainder(cells, m, out=cells)
+        out[cells.reshape(-1)] = True
     return out
+
+
+def _first_pair(m: int, left: np.ndarray, right: np.ndarray, r: int) -> tuple[int, int]:
+    """The smallest u in left for which some v in right has u*v = r (mod m),
+    and the smallest such v. Both operands are ascending; the rows of the
+    product table are scanned in chunks that double up to the cell cap, and
+    the scan stops at the first hit."""
+    cap = max(1, _CHUNK_CELLS // right.size)
+    step = max(1, min(cap, 1024 // right.size))
+    start = 0
+    while start < left.size:
+        chunk = left[start : start + step]
+        hits = (chunk[:, None] * right[None, :]) % m == r
+        first = int(hits.argmax())
+        if hits.flat[first]:
+            i, j = divmod(first, right.size)
+            return int(chunk[i]), int(right[j])
+        start += step
+        step = min(cap, 2 * step)
+    raise KeyError(r)
 
 
 def product_set(s: ResidueSet, t: ResidueSet) -> ResidueSet:
@@ -191,16 +218,60 @@ def scale_set(factor: int, s: ResidueSet) -> ResidueSet:
     return ResidueSet(s.modulus, mask)
 
 
+class _WitnessView(Mapping):
+    """Read-only map from each member of a set to its witness tuple.
+
+    Nothing is stored per member: each lookup rebuilds the witness from the
+    structure the set was built with, so a witness costs work only when it is
+    asked for.
+    """
+
+    __slots__ = ("_base", "_rebuild")
+
+    def __init__(self, base: ResidueSet, rebuild: Callable[[int], tuple[int, ...]]):
+        self._base = base
+        self._rebuild = rebuild
+
+    def __getitem__(self, r) -> tuple[int, ...]:
+        if r not in self:
+            raise KeyError(r)
+        return self._rebuild(index(r))
+
+    def __contains__(self, r) -> bool:
+        try:
+            r = index(r)
+        except TypeError:
+            return False
+        return 0 <= r < self._base.modulus and bool(self._base.mask[r])
+
+    def __iter__(self):
+        return iter(self._base)
+
+    def __len__(self) -> int:
+        return self._base.cardinality
+
+    def __repr__(self) -> str:
+        return f"<witnesses of {self._base.cardinality} members mod {self._base.modulus}>"
+
+
 @dataclass
 class WitnessedSet:
     """A residue set whose members each carry one factorization witness.
 
     witness maps each member to a factor tuple whose product is the member
     mod m; it is None when the set was built without witness tracking.
+    Witnesses follow one first-found rule: pairs are enumerated in ascending
+    order and the first pair that reaches a member gives its witness. In a
+    product S*T that is the smallest s in S reaching the member, then the
+    smallest t for that s; in a growth chain it is the first power A^n
+    holding the member, then the smallest generator reaching it from A^(n-1).
+    The sets built here hold the witnesses as a read-only view that stores
+    only the operands or parent pointers and rebuilds a witness when it is
+    looked up.
     """
 
     base: ResidueSet
-    witness: Optional[dict[int, tuple[int, ...]]] = None
+    witness: Optional[Mapping[int, tuple[int, ...]]] = None
 
     @property
     def modulus(self) -> int:
@@ -236,20 +307,28 @@ class WitnessedSet:
                 raise DomainError(f"witness for {r} multiplies to {prod(factors) % m}")
 
 
-def _combine_witnessed(
-    m: int, u: dict[int, tuple[int, ...]], v: dict[int, tuple[int, ...]]
-) -> dict[int, tuple[int, ...]]:
-    # First-found witness wins, enumerating (u-member, v-member) pairs in
-    # ascending lexicographic order.
-    out: dict[int, tuple[int, ...]] = {}
-    v_items = sorted(v.items())
-    for ru in sorted(u):
-        wu = u[ru]
-        for rv, wv in v_items:
-            r = ru * rv % m
-            if r not in out:
-                out[r] = wu + wv
-    return out
+class _Fold(NamedTuple):
+    """One node of a product fold: an interval (slot is its index) or the
+    product of two nodes (slot is -1)."""
+
+    set: ResidueSet
+    slot: int
+    left: Optional["_Fold"] = None
+    right: Optional["_Fold"] = None
+
+
+def _fold_witness(root: _Fold, k: int, r: int) -> tuple[int, ...]:
+    m = root.set.modulus
+    out = [0] * k
+    stack = [(root, r)]
+    while stack:
+        node, r = stack.pop()
+        if node.left is None:
+            out[node.slot] = r
+            continue
+        u, v = _first_pair(m, node.left.set.members, node.right.set.members, r)
+        stack += [(node.left, u), (node.right, v)]
+    return tuple(out)
 
 
 def iterated_interval_product(
@@ -260,7 +339,9 @@ def iterated_interval_product(
     The interval list splits into two halves; each half folds its intervals
     smallest-first, and one final product joins the halves. When witnesses are
     requested, every member carries one factor per interval, aligned with the
-    original interval order.
+    original interval order; the fold keeps the operands of each level (at
+    most one per interval and one per product) and rebuilds a witness from
+    them when it is looked up.
     """
     ivs = list(intervals)
     if not ivs:
@@ -270,38 +351,20 @@ def iterated_interval_product(
         raise DomainError("modulus mismatch")
     k = len(ivs)
     mid = (k + 1) // 2
-    orders = [
-        sorted(h, key=lambda i: (ivs[i].length, i))
-        for h in (list(range(mid)), list(range(mid, k)))
-        if h
-    ]
-
-    if not with_witness:
-        halves = []
-        for order in orders:
-            acc = ivs[order[0]].to_set()
-            for i in order[1:]:
-                acc = product_set(acc, ivs[i].to_set())
+    halves = []
+    for half in (range(mid), range(mid, k)):
+        acc = None
+        for i in sorted(half, key=lambda i: (ivs[i].length, i)):
+            leaf = _Fold(ivs[i].to_set(), i)
+            acc = leaf if acc is None else _Fold(product_set(acc.set, leaf.set), -1, acc, leaf)
+        if acc is not None:
             halves.append(acc)
-        total = halves[0] if len(halves) == 1 else product_set(halves[0], halves[1])
-        return WitnessedSet(total, None)
-
-    half_dicts = []
-    for order in orders:
-        acc = {int(x): (int(x),) for x in ivs[order[0]].members()}
-        for i in order[1:]:
-            nxt = {int(x): (int(x),) for x in ivs[i].members()}
-            acc = _combine_witnessed(m, acc, nxt)
-        half_dicts.append(acc)
-    joined = half_dicts[0] if len(half_dicts) == 1 else _combine_witnessed(m, *half_dicts)
-
-    slot_order = [i for order in orders for i in order]
-    if slot_order != list(range(k)):
-        pos = [0] * k
-        for slot, orig in enumerate(slot_order):
-            pos[orig] = slot
-        joined = {r: tuple(w[pos[i]] for i in range(k)) for r, w in joined.items()}
-    return WitnessedSet(ResidueSet.from_members(m, joined), joined)
+    root = halves[0] if len(halves) == 1 else _Fold(
+        product_set(halves[0].set, halves[1].set), -1, *halves
+    )
+    if not with_witness:
+        return WitnessedSet(root.set, None)
+    return WitnessedSet(root.set, _WitnessView(root.set, lambda r: _fold_witness(root, k, r)))
 
 
 class CoverageResult(NamedTuple):

@@ -5,6 +5,7 @@ from math import prod
 
 import pytest
 
+from prodcong import cli
 from prodcong.cli import main
 
 
@@ -216,6 +217,23 @@ class TestDeterminism:
     def test_usage_error_exit_two(self, capsys):
         assert main(["scan", "--p", "5"]) == 2
         capsys.readouterr()
+
+    def test_shared_parser_matches_fresh_parsers(self, capsys, monkeypatch):
+        sequence = [
+            ["solve", "--p", "13", "--a", "1", "--b", "1", "--c", "5", "--len", "2"],
+            ["solve", "--p", "13", "--a", "1"],  # missing required options
+            ["represent", "--m", "7", "--target", "3", "--cutoff", "2"],
+            ["no-such-command"],
+            ["growth", "--m", "30", "--cutoff", "3", "--format", "csv"],
+            ["threshold", "--p", "7"],
+            ["solve", "--p", "5", "--a", "1", "--b", "1", "--c", "3", "--len", "1"],
+        ]
+        assert cli._build_parser() is cli._build_parser()
+        shared = [run(capsys, list(args)) for args in sequence]
+        monkeypatch.setattr(cli, "_build_parser", cli._build_parser.__wrapped__)
+        fresh = [run(capsys, list(args)) for args in sequence]
+        assert [code for code, _, _ in shared] == [0, 2, 3, 2, 0, 0, 3]
+        assert shared == fresh
 
 
 class TestResourceCaps:

@@ -20,6 +20,7 @@ from prodcong.growth import (
 from prodcong.residues import ResidueSet
 from prodcong.rng import stream
 from prodcong.smooth import build_smooth_table, greedy_factor
+from reference_witness import growth_chain
 
 
 def members(s) -> set:
@@ -138,6 +139,27 @@ class TestPowerSetSequence:
         assert rep.is_subgroup_at_stab
         assert rep.phi % rep.subgroup_order == 0
         assert is_subgroup(rep.stable.base)
+
+    @given(
+        st.integers(min_value=4, max_value=400).filter(
+            lambda m: any(m % d == 0 for d in range(2, isqrt(m) + 1))
+        ),
+        st.integers(min_value=2, max_value=13),
+    )
+    def test_witnesses_equal_reference_chain(self, m, cutoff):
+        rep = power_set_sequence(build_generator_set(m, cutoff=cutoff), n_max=512)
+        cards, n_stab, witness = growth_chain(m, cutoff, 512)
+        assert (rep.cards, rep.n_stab) == (cards, n_stab)
+        assert rep.stable.witness == witness
+
+    def test_witness_view_is_read_only_and_keyed_by_members(self):
+        rep = power_set_sequence(build_generator_set(7, cutoff=2))
+        with pytest.raises(TypeError):
+            rep.stable.witness[3] = (3,)
+        with pytest.raises(KeyError):
+            rep.stable.witness[3]  # a quadratic nonresidue mod 7
+        assert dict(rep.stable.witness) == {1: (1,), 2: (2,), 4: (2, 2)}
+        assert power_set_sequence(build_generator_set(7, cutoff=2), with_witness=False).stable.witness is None
 
     def test_nth_power_set_matches_cards(self):
         gen = build_generator_set(7, cutoff=3)

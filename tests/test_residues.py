@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import prodcong.residues
 from prodcong.errors import DomainError
 from prodcong.residues import (
     Interval,
@@ -19,6 +20,7 @@ from prodcong.residues import (
     sum_set,
     triple_product_stats,
 )
+from reference_witness import interval_product_witnesses
 
 
 def brute_product(m, xs, ys):
@@ -34,6 +36,9 @@ def members(s) -> set:
 
 
 small_modulus = st.integers(min_value=2, max_value=499)
+composite_modulus = st.integers(min_value=4, max_value=300).filter(
+    lambda m: any(m % d == 0 for d in range(2, int(m**0.5) + 1))
+)
 
 
 @st.composite
@@ -158,6 +163,22 @@ class TestKernels:
         assert scale_set(inv, scaled) == s
 
 
+    @given(st.integers(min_value=2, max_value=60), st.data())
+    def test_chunk_boundaries_match_bruteforce(self, m, data):
+        s, t = (
+            ResidueSet.from_members(
+                m, data.draw(st.lists(st.integers(0, m - 1), min_size=1, max_size=m))
+            )
+            for _ in range(2)
+        )
+        xs, ys = members(s), members(t)
+        for cells in (1, 2, 3, 7, 64):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(prodcong.residues, "_CHUNK_CELLS", cells)
+                assert members(product_set(s, t)) == brute_product(m, xs, ys)
+                assert members(sum_set(s, t)) == brute_sum(m, xs, ys)
+
+
 class TestIteratedProduct:
     def test_single_interval(self):
         w = iterated_interval_product([Interval(0, 2, 11)], with_witness=True)
@@ -217,6 +238,34 @@ class TestIteratedProduct:
         withw = iterated_interval_product(intervals, with_witness=True)
         assert members(withw.base) == expected
         withw.verify()
+
+
+    @given(composite_modulus, st.data())
+    def test_witnesses_equal_reference_fold(self, m, data):
+        k = data.draw(st.integers(min_value=1, max_value=13))
+        intervals = []
+        for _ in range(k):
+            length = data.draw(st.integers(1, min(m, 30)))
+            if data.draw(st.booleans()):  # an interval through 0
+                offset = -data.draw(st.integers(1, length))
+            else:
+                offset = data.draw(st.integers(0, m - 1))
+            intervals.append(Interval(offset, length, m))
+        expected = interval_product_witnesses(intervals)
+        assert iterated_interval_product(intervals, with_witness=True).witness == expected
+        with pytest.MonkeyPatch.context() as mp:  # searches that span many chunks
+            mp.setattr(prodcong.residues, "_CHUNK_CELLS", 5)
+            assert iterated_interval_product(intervals, with_witness=True).witness == expected
+
+    def test_witness_view_is_read_only_and_keyed_by_members(self):
+        w = iterated_interval_product([Interval(0, 4, 101)] * 3, with_witness=True)
+        with pytest.raises(TypeError):
+            w.witness[5] = (5, 1, 1)
+        for missing in (5, 101, -1, "1"):
+            assert missing not in w.witness
+            with pytest.raises(KeyError):
+                w.witness[missing]
+        assert len(w.witness) == 16 and list(w.witness) == sorted(members(w.base))
 
 
 class TestCoverage:
