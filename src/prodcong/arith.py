@@ -187,7 +187,9 @@ class FieldContext:
     dlog: np.ndarray
 
 
-@lru_cache(maxsize=64)
+# Each context holds a p-entry int64 table (up to 32 MB at the table cap), and
+# no caller reuses more than the current prime, so only the last two are kept.
+@lru_cache(maxsize=2)
 def _field_context(p: int) -> FieldContext:
     g = primitive_root(p)
     dlog = np.full(p, -1, dtype=np.int64)

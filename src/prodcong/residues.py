@@ -18,7 +18,7 @@ from typing import Callable, Iterable, NamedTuple, Optional
 
 import numpy as np
 
-from .arith import is_prime
+from .arith import euler_phi, is_prime
 from .errors import DomainError
 
 # Pairwise kernels and witness searches build their |S| x |T| tables in row
@@ -157,7 +157,33 @@ def _check_same_modulus(s: ResidueSet, t: ResidueSet) -> None:
         raise DomainError("modulus mismatch")
 
 
+@lru_cache(maxsize=512)
+def _unit_count(m: int) -> int:
+    return euler_phi(m)
+
+
 def _pairwise_mask(m: int, left: np.ndarray, right: np.ndarray, op) -> np.ndarray:
+    # Pigeonhole settles the large cases without a table. If |S| + |T| > m,
+    # r - T meets S for every r, so S + T = Z_m. If the units of S and T
+    # number more than phi(m) together, r * T_u^-1 meets S_u for every unit r,
+    # so S_u T_u is every unit; the products with a non-unit operand are
+    # non-units and are still computed. The size tests come first, so small
+    # operands pay nothing.
+    if op is np.add:
+        if left.size + right.size > m:
+            return np.ones(m, dtype=bool)
+    elif left.size + right.size > (phi := _unit_count(m)):
+        units = units_mask(m)
+        left_units, right_units = units[left], units[right]
+        if np.count_nonzero(left_units) + np.count_nonzero(right_units) > phi:
+            out = units.copy()
+            out |= _table_mask(m, left[~left_units], right, op)
+            out |= _table_mask(m, left[left_units], right[~right_units], op)
+            return out
+    return _table_mask(m, left, right, op)
+
+
+def _table_mask(m: int, left: np.ndarray, right: np.ndarray, op) -> np.ndarray:
     # op is commutative, so the shorter operand spans the table's columns.
     # Every chunk reuses one buffer: a fresh table per chunk costs more in
     # page faults than the arithmetic does.

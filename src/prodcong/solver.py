@@ -13,6 +13,7 @@ from math import prod
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .arith import floor_power, is_prime
 from .errors import DomainError
@@ -22,6 +23,16 @@ from .rng import stream
 LEFT_ARITY = 6
 RIGHT_ARITY = 7
 _FAILURE_SAMPLE_CAP = 20
+
+# A full-grid scan (abc_scan) takes the direct path while
+# |L||R| * _BLAS_SPEEDUP < p**2 and the count path above it; float32 counts
+# are exact only for p < _FLOAT32_EXACT. A direct block holds at most
+# _DIRECT_CELLS int64 cells, and a count block (indicator rows, circulant
+# columns) at most _COUNT_CELLS float32 cells.
+_BLAS_SPEEDUP = 256
+_DIRECT_CELLS = 1 << 18
+_COUNT_CELLS = 1 << 21
+_FLOAT32_EXACT = 1 << 24
 
 
 @dataclass(frozen=True)
@@ -160,6 +171,73 @@ class ScanResult:
     failure_count: int
 
 
+def _grid_blocks(p: int, left: np.ndarray, right: np.ndarray):
+    """Yield (b0, ok) over consecutive blocks of b in 1..p-1, where
+    ok[i, c] says whether c lies in left + (b0 + i) * right (mod p).
+
+    Small tables take the direct path and large ones the count path (see
+    abc_scan); when |left| + |right| > p every row is full and no table is
+    built.
+    """
+    if left.size + right.size > p:
+        step = max(1, min(p - 1, _COUNT_CELLS // p))
+        for b0 in range(1, p, step):
+            yield b0, np.ones((min(step, p - b0), p), dtype=bool)
+    elif left.size * right.size * _BLAS_SPEEDUP < p * p or p >= _FLOAT32_EXACT:
+        yield from _direct_blocks(p, left, right)
+    else:
+        yield from _count_blocks(p, left, right)
+
+
+def _direct_blocks(p: int, left: np.ndarray, right: np.ndarray):
+    # Row i of a block scatters left + (b0+i)*right, unreduced (values below
+    # 2p), into its own 2p-wide stretch of one flat mask; the two halves of
+    # each stretch are then folded into residues mod p.
+    step = max(1, min(p - 1, _DIRECT_CELLS // (left.size * right.size)))
+    width = 2 * p
+    shifted = left[None, :] + width * np.arange(step)[:, None]
+    buf = np.empty((step, left.size, right.size), dtype=np.int64)
+    for b0 in range(1, p, step):
+        rows = min(step, p - b0)
+        scaled = np.multiply.outer(np.arange(b0, b0 + rows), right) % p
+        cells = buf[:rows]
+        np.add(shifted[:rows, :, None], scaled[:, None, :], out=cells)
+        hit = np.zeros(rows * width, dtype=bool)
+        hit[cells.reshape(-1)] = True
+        hit = hit.reshape(rows, 2, p)
+        yield b0, hit[:, 0] | hit[:, 1]
+
+
+def _count_blocks(p: int, left: np.ndarray, right: np.ndarray):
+    # counts[b, c] = #{r in right : c - b*r in left} is the product of the
+    # indicator rows of b*right with the circulant C[x, c] = 1_left(c - x).
+    # Entries and partial sums are integers at most |right| < p < 2**24, so
+    # float32 holds every one exactly in any summation order.
+    left_twice = np.zeros(2 * p, dtype=np.float32)
+    left_twice[left] = 1
+    left_twice[p:] = left_twice[:p]
+    # The windows are left_twice[i + c]; row x of windows[p:0:-1] is i = p - x,
+    # that is 1_left(c - x mod p) for c in 0..p-1.
+    circulant = sliding_window_view(left_twice, p)[p:0:-1]
+    width = max(1, _COUNT_CELLS // p)
+    step = min(p - 1, width)
+
+    def column_blocks():
+        for c0 in range(0, p, width):
+            yield c0, np.ascontiguousarray(circulant[:, c0 : c0 + width])
+
+    whole = list(column_blocks()) if width >= p else None
+    for b0 in range(1, p, step):
+        rows = min(step, p - b0)
+        scaled = np.multiply.outer(np.arange(b0, b0 + rows), right) % p
+        indicators = np.zeros((rows, p), dtype=np.float32)
+        indicators[np.arange(rows)[:, None], scaled] = 1
+        ok = np.empty((rows, p), dtype=bool)
+        for c0, block in whole or column_blocks():
+            np.greater(indicators @ block, 0, out=ok[:, c0 : c0 + block.shape[1]])
+        yield b0, ok
+
+
 def abc_scan(
     p: int,
     lengths: Sequence[int],
@@ -172,7 +250,27 @@ def abc_scan(
     (1, b*a^-1, c*a^-1) with the same witness, so the (b, c) grid covers all
     triples. Without `sample` the full grid is enumerated; with it, `sample`
     seeded pairs are drawn (duplicates allowed). Failures are recorded as
-    (1, b, c) triples, capped at 20 with the full count alongside.
+    (1, b, c) triples in ascending (b, c) order, capped at 20 with the full
+    count alongside.
+
+    With L and R the left and right products, the full grid decides c in
+    L + b*R for blocks of b at once, by one of two exact paths:
+
+    - direct, while |L||R| * 256 < p**2: one int64 table of L + b*R per block
+      (rows b, at most 2**18 cells), each row offset into its own stretch of
+      one flat mask and scattered;
+    - count, above that: counts[b, c] = #{r in R : c - b*r in L} as the
+      float32 matrix product of the indicator rows of b*R with the circulant
+      C[x, c] = 1_L(c - x). Every entry and partial sum is an integer at most
+      |R| < p, and float32 represents every integer below 2**24 exactly, so
+      the counts are exact in any summation order; for p >= 2**24 the direct
+      path runs instead. Indicator blocks and circulant column blocks hold at
+      most 2**21 cells, so no p x p array is built when p is large.
+
+    The count path does p**2 multiply-adds per b where the direct path does
+    |L||R| scattered writes, and a BLAS multiply-add costs about 1/256 of a
+    scattered write, hence the rule. When |L| + |R| > p, every L + b*R is
+    all of Z_p (pigeonhole: c - b*R meets L) and no table is built.
     """
     if not is_prime(p):
         raise DomainError("modulus must be prime")
@@ -192,17 +290,17 @@ def abc_scan(
     solvable = 0
     if sample is None:
         total = (p - 1) ** 2
-        for b in range(1, p):
-            sums = np.zeros(p, dtype=bool)
-            table = (l_members[:, None] + (b * r_members % p)[None, :]) % p
-            sums[table.reshape(-1)] = True
-            ok = sums[1:]
-            solvable += int(ok.sum())
-            if not ok.all():
-                for c in (np.nonzero(~ok)[0] + 1).tolist():
-                    failure_count += 1
-                    if len(failures) < _FAILURE_SAMPLE_CAP:
-                        failures.append((1, b, int(c)))
+        for b0, ok in _grid_blocks(p, l_members, r_members):
+            ok = ok[:, 1:]
+            hits = int(np.count_nonzero(ok))
+            solvable += hits
+            failure_count += ok.size - hits
+            if hits < ok.size and len(failures) < _FAILURE_SAMPLE_CAP:
+                rows, cols = np.nonzero(~ok)
+                take = _FAILURE_SAMPLE_CAP - len(failures)
+                failures += [
+                    (1, b0 + i, c + 1) for i, c in zip(rows[:take].tolist(), cols[:take].tolist())
+                ]
     else:
         if sample < 1:
             raise DomainError("sample must be >= 1")

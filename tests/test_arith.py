@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -154,6 +157,12 @@ class TestFieldContext:
         monkeypatch.setenv("PRODCONG_TABLE_CAP", "10")
         with pytest.raises(ResourceError):
             build_field_context(11)
+
+    def test_cache_keeps_only_the_latest_tables(self):
+        # a sweep over primes must not pin one dlog table per prime
+        refs = [weakref.ref(build_field_context(p)) for p in (1009, 1013, 1019, 1021, 1031)]
+        gc.collect()
+        assert sum(ref() is not None for ref in refs) <= 2
 
 
 class TestModulus:

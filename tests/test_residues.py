@@ -1,6 +1,6 @@
 from fractions import Fraction
 from itertools import permutations
-from math import prod
+from math import gcd, prod
 
 import numpy as np
 import pytest
@@ -20,6 +20,7 @@ from prodcong.residues import (
     sum_set,
     triple_product_stats,
 )
+from prodcong.rng import stream
 from reference_witness import interval_product_witnesses
 
 
@@ -177,6 +178,58 @@ class TestKernels:
                 mp.setattr(prodcong.residues, "_CHUNK_CELLS", cells)
                 assert members(product_set(s, t)) == brute_product(m, xs, ys)
                 assert members(sum_set(s, t)) == brute_sum(m, xs, ys)
+
+
+class TestPigeonhole:
+    """The kernel fills Z_m (sums) or the units (products) without a table
+    past the pigeonhole bound; at the bound and one past it the results must
+    still equal brute force."""
+
+    MODULI = [7, 12, 30, 101, 105]
+
+    @pytest.mark.parametrize("m", MODULI)
+    @pytest.mark.parametrize("excess", [0, 1])
+    def test_sum_at_and_past_bound(self, m, excess):
+        gen = stream(m, f"pigeonhole-sum-{excess}")
+        for _ in range(25):
+            size_s = int(gen.integers(1, m + excess))
+            xs = {int(x) for x in gen.choice(m, size_s, replace=False)}
+            ys = {int(y) for y in gen.choice(m, m + excess - size_s, replace=False)}
+            got = sum_set(ResidueSet.from_members(m, xs), ResidueSet.from_members(m, ys))
+            assert members(got) == brute_sum(m, xs, ys)
+            if excess:
+                assert got.cardinality == m
+
+    @pytest.mark.parametrize("m", MODULI)
+    @pytest.mark.parametrize("excess", [0, 1])
+    def test_product_at_and_past_bound(self, m, excess):
+        units = [x for x in range(m) if gcd(x, m) == 1]
+        non_units = [x for x in range(m) if gcd(x, m) != 1]  # holds 0
+        phi = len(units)
+        gen = stream(m, f"pigeonhole-product-{excess}")
+        for _ in range(25):
+            count_s = int(gen.integers(excess, phi + 1))
+            operands = []
+            for count in (count_s, phi + excess - count_s):
+                extra = int(gen.integers(0, len(non_units) + 1))
+                chosen = {int(x) for x in gen.choice(units, count, replace=False)}
+                chosen |= {int(x) for x in gen.choice(non_units, extra, replace=False)}
+                operands.append(chosen or {0})
+            xs, ys = operands
+            got = product_set(ResidueSet.from_members(m, xs), ResidueSet.from_members(m, ys))
+            assert members(got) == brute_product(m, xs, ys)
+            if excess:
+                assert set(units) <= members(got)
+
+    def test_bounds_are_sharp(self):
+        # at the bound the short cut must not fire: these sets miss residues
+        s = ResidueSet.from_members(12, range(6))
+        assert members(sum_set(s, s)) == set(range(11))
+        squares = ResidueSet.from_members(7, [0, 1, 2, 4])  # 0 and a subgroup of index 2
+        assert members(product_set(squares, squares)) == {0, 1, 2, 4}
+        odd = ResidueSet.from_members(30, [1, 11, 19, 29, 0, 6])  # four units: {+-1, +-11}
+        assert members(product_set(odd, odd)) == brute_product(30, members(odd), members(odd))
+        assert 7 not in members(product_set(odd, odd))
 
 
 class TestIteratedProduct:

@@ -2,7 +2,11 @@ from itertools import product as iproduct
 from math import prod
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import prodcong.solver
+from prodcong.arith import primes_in_range
 from prodcong.errors import DomainError
 from prodcong.residues import Interval
 from prodcong.rng import stream
@@ -15,6 +19,7 @@ from prodcong.solver import (
     twelve_interval_instance,
     verify_witness,
 )
+from reference_scan import full_grid_scan
 
 
 def prefix(n, p):
@@ -243,6 +248,61 @@ class TestAbcScan:
             abc_scan(5, [5] * 13)
         with pytest.raises(DomainError):
             abc_scan(5, [1] * 12)
+
+
+def scan_case(draw_data):
+    p = draw_data.draw(st.sampled_from(primes_in_range(2, 200)))
+    lengths = draw_data.draw(
+        st.lists(st.integers(1, min(p - 1, 8)), min_size=13, max_size=13)
+    )
+    return p, lengths
+
+
+def scan_tuple(p, lengths):
+    res = abc_scan(p, lengths)
+    return res.total, res.solvable, res.failures, res.failure_count
+
+
+def refuse(*args):
+    raise AssertionError("this path must not run here")
+
+
+class TestGridKernel:
+    """The block kernel against the per-b reference scan."""
+
+    @settings(deadline=None)
+    @given(st.data())
+    def test_full_grid_matches_reference(self, data):
+        p, lengths = scan_case(data)
+        assert scan_tuple(p, lengths) == full_grid_scan(p, lengths)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_each_path_and_block_size_matches_reference(self, data):
+        p, lengths = scan_case(data)
+        expected = full_grid_scan(p, lengths)
+        # speedup 0 forces the direct path and a huge one the count path;
+        # a 1-cell cap gives 1-row blocks (and 1-column circulant blocks)
+        for speedup in (0, 1 << 40):
+            for cells in (1, 2 * p + 1, p * p):
+                with pytest.MonkeyPatch.context() as mp:
+                    mp.setattr(prodcong.solver, "_BLAS_SPEEDUP", speedup)
+                    mp.setattr(prodcong.solver, "_DIRECT_CELLS", cells)
+                    mp.setattr(prodcong.solver, "_COUNT_CELLS", cells)
+                    assert scan_tuple(p, lengths) == expected
+
+    def test_count_path_at_default_rule(self, monkeypatch):
+        # |L||R| = 135 * 189 is far above p**2 / 256 here
+        monkeypatch.setattr(prodcong.solver, "_direct_blocks", refuse)
+        lengths = [5] * 13
+        assert scan_tuple(1009, lengths) == full_grid_scan(1009, lengths)
+
+    def test_large_primes_fall_back_to_direct(self, monkeypatch):
+        monkeypatch.setattr(prodcong.solver, "_BLAS_SPEEDUP", 1 << 40)
+        monkeypatch.setattr(prodcong.solver, "_FLOAT32_EXACT", 97)
+        monkeypatch.setattr(prodcong.solver, "_count_blocks", refuse)
+        lengths = [2] * 6 + [3] * 7
+        assert scan_tuple(97, lengths) == full_grid_scan(97, lengths)
 
 
 class TestScanSolveConsistency:
