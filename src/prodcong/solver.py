@@ -176,14 +176,9 @@ def _grid_blocks(p: int, left: np.ndarray, right: np.ndarray):
     ok[i, c] says whether c lies in left + (b0 + i) * right (mod p).
 
     Small tables take the direct path and large ones the count path (see
-    abc_scan); when |left| + |right| > p every row is full and no table is
-    built.
+    abc_scan).
     """
-    if left.size + right.size > p:
-        step = max(1, min(p - 1, _COUNT_CELLS // p))
-        for b0 in range(1, p, step):
-            yield b0, np.ones((min(step, p - b0), p), dtype=bool)
-    elif left.size * right.size * _BLAS_SPEEDUP < p * p or p >= _FLOAT32_EXACT:
+    if left.size * right.size * _BLAS_SPEEDUP < p * p or p >= _FLOAT32_EXACT:
         yield from _direct_blocks(p, left, right)
     else:
         yield from _count_blocks(p, left, right)
@@ -192,9 +187,10 @@ def _grid_blocks(p: int, left: np.ndarray, right: np.ndarray):
 def _direct_blocks(p: int, left: np.ndarray, right: np.ndarray):
     # Row i of a block scatters left + (b0+i)*right, unreduced (values below
     # 2p), into its own 2p-wide stretch of one flat mask; the two halves of
-    # each stretch are then folded into residues mod p.
-    step = max(1, min(p - 1, _DIRECT_CELLS // (left.size * right.size)))
+    # each stretch are then folded into residues mod p. The cap bounds both
+    # the table (|left||right| cells per row) and the mask (2p per row).
     width = 2 * p
+    step = max(1, min(p - 1, _DIRECT_CELLS // max(left.size * right.size, width)))
     shifted = left[None, :] + width * np.arange(step)[:, None]
     buf = np.empty((step, left.size, right.size), dtype=np.int64)
     for b0 in range(1, p, step):
@@ -226,14 +222,13 @@ def _count_blocks(p: int, left: np.ndarray, right: np.ndarray):
         for c0 in range(0, p, width):
             yield c0, np.ascontiguousarray(circulant[:, c0 : c0 + width])
 
-    whole = list(column_blocks()) if width >= p else None
     for b0 in range(1, p, step):
         rows = min(step, p - b0)
         scaled = np.multiply.outer(np.arange(b0, b0 + rows), right) % p
         indicators = np.zeros((rows, p), dtype=np.float32)
         indicators[np.arange(rows)[:, None], scaled] = 1
         ok = np.empty((rows, p), dtype=bool)
-        for c0, block in whole or column_blocks():
+        for c0, block in column_blocks():
             np.greater(indicators @ block, 0, out=ok[:, c0 : c0 + block.shape[1]])
         yield b0, ok
 
@@ -257,8 +252,9 @@ def abc_scan(
     L + b*R for blocks of b at once, by one of two exact paths:
 
     - direct, while |L||R| * 256 < p**2: one int64 table of L + b*R per block
-      (rows b, at most 2**18 cells), each row offset into its own stretch of
-      one flat mask and scattered;
+      of rows b, each row offset into its own 2p-wide stretch of one flat
+      mask and scattered; a block has at most 2**18 table cells and 2**18
+      mask cells (unless it is a single row);
     - count, above that: counts[b, c] = #{r in R : c - b*r in L} as the
       float32 matrix product of the indicator rows of b*R with the circulant
       C[x, c] = 1_L(c - x). Every entry and partial sum is an integer at most
@@ -290,17 +286,22 @@ def abc_scan(
     solvable = 0
     if sample is None:
         total = (p - 1) ** 2
-        for b0, ok in _grid_blocks(p, l_members, r_members):
-            ok = ok[:, 1:]
-            hits = int(np.count_nonzero(ok))
-            solvable += hits
-            failure_count += ok.size - hits
-            if hits < ok.size and len(failures) < _FAILURE_SAMPLE_CAP:
-                rows, cols = np.nonzero(~ok)
-                take = _FAILURE_SAMPLE_CAP - len(failures)
-                failures += [
-                    (1, b0 + i, c + 1) for i, c in zip(rows[:take].tolist(), cols[:take].tolist())
-                ]
+        if l_members.size + r_members.size > p:
+            # pigeonhole: c - b*R meets L for every (b, c), so no table
+            solvable = total
+        else:
+            for b0, ok in _grid_blocks(p, l_members, r_members):
+                ok = ok[:, 1:]
+                hits = int(np.count_nonzero(ok))
+                solvable += hits
+                failure_count += ok.size - hits
+                if hits < ok.size and len(failures) < _FAILURE_SAMPLE_CAP:
+                    rows, cols = np.nonzero(~ok)
+                    take = _FAILURE_SAMPLE_CAP - len(failures)
+                    failures += [
+                        (1, b0 + i, c + 1)
+                        for i, c in zip(rows[:take].tolist(), cols[:take].tolist())
+                    ]
     else:
         if sample < 1:
             raise DomainError("sample must be >= 1")

@@ -1,6 +1,8 @@
+import tracemalloc
 from itertools import product as iproduct
 from math import prod
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -304,6 +306,31 @@ class TestGridKernel:
         lengths = [2] * 6 + [3] * 7
         assert scan_tuple(97, lengths) == full_grid_scan(97, lengths)
 
+
+    def test_direct_blocks_stay_within_cap_for_short_lengths(self):
+        # L = R = {1}: a row's table is one cell, so only the 2p-wide mask
+        # can bound the block, and every b would fit in one block otherwise
+        p = 10007
+        one = np.array([1])
+        cap = prodcong.solver._DIRECT_CELLS
+        rows = [ok.shape[0] for _, ok in prodcong.solver._direct_blocks(p, one, one)]
+        assert sum(rows) == p - 1
+        assert max(rows) * 2 * p <= cap
+
+    def test_short_length_scan_at_large_prime_stays_small(self):
+        # only c = 1 + b is solvable; the grid has ~10**8 cells and ~10**8
+        # failures, none of which may be held at once
+        p = 10007
+        tracemalloc.start()
+        try:
+            res = abc_scan(p, [1] * 13)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res.solvable == p - 2
+        assert res.failure_count == (p - 1) ** 2 - (p - 2)
+        assert res.failures == tuple((1, 1, c) for c in range(1, 22) if c != 2)
+        assert peak < 16 * 2**20
 
 class TestScanSolveConsistency:
     def test_full_grid_matches_individual_solves(self):
