@@ -60,7 +60,6 @@ from .residues import (
     TripleProductStats,
     WitnessedSet,
     coverage_check,
-    interval_to_set,
     iterated_interval_product,
     product_set,
     scale_set,

@@ -26,17 +26,6 @@ def table_cap() -> int:
     return int(os.environ.get(TABLE_CAP_ENV, DEFAULT_TABLE_CAP))
 
 
-def _sieve_primes(limit: int) -> tuple[int, ...]:
-    mask = np.ones(limit + 1, dtype=bool)
-    mask[:2] = False
-    for q in range(2, isqrt(limit) + 1):
-        if mask[q]:
-            mask[q * q :: q] = False
-    return tuple(int(p) for p in np.nonzero(mask)[0])
-
-
-_SMALL_PRIMES = _sieve_primes(4096)
-
 # Bases making Miller-Rabin deterministic for all n < 3.3e24 (covers 64-bit).
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -138,6 +127,9 @@ def primes_in_range(lo: int, hi: int) -> list[int]:
     return [int(p) for p in np.nonzero(mask)[0] if p >= lo]
 
 
+_SMALL_PRIMES = tuple(primes_in_range(2, 4096))
+
+
 @dataclass(frozen=True)
 class Modulus:
     """A modulus together with its factorization."""
@@ -155,10 +147,7 @@ class Modulus:
 
     @property
     def phi(self) -> int:
-        result = self.m
-        for q, _ in self.factorization:
-            result -= result // q
-        return result
+        return euler_phi(self.m)
 
 
 def primitive_root(p: int) -> int:

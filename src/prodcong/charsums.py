@@ -24,7 +24,9 @@ from .residues import Interval, ResidueSet, WitnessedSet, product_set
 Values = Union[Interval, ResidueSet, WitnessedSet, Iterable[int]]
 
 
-@lru_cache(maxsize=64)
+# Each table holds p-1 complex128 roots (16 MB near p = 10**6), and callers
+# work through one prime at a time, so only the last two are kept.
+@lru_cache(maxsize=2)
 def _unit_roots(order: int) -> np.ndarray:
     roots = np.exp(2j * np.pi * np.arange(order) / order)
     roots.setflags(write=False)

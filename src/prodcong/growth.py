@@ -19,7 +19,7 @@ import numpy as np
 from .arith import euler_phi, floor_power, is_prime
 from .charsums import nonresidue_cap
 from .errors import DomainError, NotRepresentableError, ResourceError
-from .residues import ResidueSet, WitnessedSet, _WitnessView, product_set, units_mask
+from .residues import ResidueSet, WitnessedSet, _pairwise_mask, _WitnessView, product_set
 
 DEFAULT_N_MAX = 64
 
@@ -57,66 +57,69 @@ def build_generator_set(
 
 def is_subgroup(s: ResidueSet) -> bool:
     """True iff the nonempty set of units is closed under multiplication mod m
-    (closure of a finite subset of a group implies subgroup)."""
+    (closure of a finite subset of a group implies subgroup). S*S contains
+    s*S, which has |S| members, so S*S = S exactly when S is closed."""
     if s.cardinality == 0:
         raise DomainError("set must be nonempty")
-    m = s.modulus
-    mem = s.members
-    if np.any(np.gcd(mem, m) != 1):
+    if np.any(np.gcd(s.members, s.modulus) != 1):
         raise DomainError("members must be coprime to the modulus")
-    if np.array_equal(s.mask, units_mask(m)):
-        return True  # the full unit group is closed
-    table = (mem[:, None] * mem[None, :]) % m
-    return bool(s.mask[table.reshape(-1)].all())
+    return product_set(s, s) == s
 
 
-def _step(
-    m: int,
-    mask: np.ndarray,
-    frontier: np.ndarray,
-    gen_members: list[int],
-    parent: np.ndarray,
-    factor: np.ndarray,
-) -> np.ndarray:
-    """Grow A^n (marked in mask) to A^(n+1) in place and return the new members.
+def _chain(m: int, gens: np.ndarray, n_max: int):
+    """Grow A, A^2, ... for the ascending units gens (1 among them) until the
+    chain stabilizes or reaches A^n_max.
 
-    frontier holds A^n minus A^(n-1): as 1 is in A, A^(n-1) * A already lies
-    in A^n, so only the newest layer can reach new members. Generators are
-    units, so each row a * frontier is free of repeats. Generators run in
-    ascending order and a new member r keeps the first pair that reaches it:
-    parent[r] is its predecessor and factor[r] the generator applied.
+    Returns (level, cards, n_stab): level[r] is the least n with r in A^n (0
+    when r is in none), cards lists |A^1|, |A^2|, ..., and n_stab is None when
+    n_max came first. As 1 is in A, A^(n-1) * A already lies in A^n, so each
+    step multiplies only the newest layer by A. The chain stops at the full
+    unit group, or at the first step that adds nothing, whose repeated
+    cardinality is then the last entry of cards.
     """
-    fresh = []
-    for a in gen_members:
-        prods = (a * frontier) % m
-        hit = ~mask[prods]
-        if hit.any():
-            new = prods[hit]
-            mask[new] = True
-            parent[new] = frontier[hit]
-            factor[new] = a
-            fresh.append(new)
-    return np.concatenate(fresh) if fresh else frontier[:0]
-
-
-def _chain_start(gen: GeneratorSet):
-    """Mask, frontier and parent/factor arrays for A^1, whose members are
-    their own one-factor witnesses."""
-    if 1 not in gen.base:
+    phi = euler_phi(m)
+    level = np.zeros(m, dtype=np.int32)
+    level[gens] = 1
+    if not level[1 % m]:
         raise AssertionError("1 must be in A, or the growth chain can lose a member")
-    members = gen.base.members
-    parent = np.full(gen.modulus, -1, dtype=np.int64)
-    factor = np.zeros(gen.modulus, dtype=np.int64)
-    factor[members] = members
-    return gen.base.mask.copy(), members, parent, factor
+    mask = level > 0
+    frontier = gens
+    cards = [gens.size]
+    n = 1
+    n_stab: Optional[int] = 1 if gens.size == phi else None
+    while n_stab is None and n < n_max:
+        # new members: reached by the step and not yet in the mask
+        frontier = np.flatnonzero(_pairwise_mask(m, frontier, gens, np.multiply) > mask)
+        mask[frontier] = True
+        level[frontier] = n + 1
+        cards.append(cards[-1] + frontier.size)
+        if frontier.size == 0:
+            n_stab = n
+        else:
+            n += 1
+            if cards[-1] == phi:
+                n_stab = n
+    return level, cards, n_stab
 
 
-def _parent_witness(parent: np.ndarray, factor: np.ndarray):
+def _level_witness(m: int, level: np.ndarray, gens: np.ndarray):
+    """Witness lookups for a chain: a member r of layer n >= 2 takes the
+    smallest generator a with r * a^(-1) in layer n - 1, and one such a always
+    exists, because r = q * a with q in A^(n-1) and q in A^(n-2) would put r
+    in A^(n-1)."""
+    pairs = [(a, pow(a, -1, m)) for a in gens.tolist()]
+    levels = memoryview(level)  # reads give plain ints, unlike numpy scalars
+
     def rebuild(r: int) -> tuple[int, ...]:
         out = []
-        while r >= 0:
-            out.append(int(factor[r]))
-            r = int(parent[r])
+        for n in range(levels[r] - 1, 0, -1):
+            for a, inverse in pairs:
+                q = r * inverse % m
+                if levels[q] == n:
+                    break
+            out.append(a)
+            r = q
+        out.append(r)
         return tuple(reversed(out))
 
     return rebuild
@@ -156,33 +159,21 @@ def power_set_sequence(
     """Iterate A^(n+1) = A^n * A until the chain stabilizes (or n_max).
 
     Stabilization is detected by cardinality equality, sound because the chain
-    is nondecreasing; closure of the stabilized set is then verified once.
+    is nondecreasing. Closure of the stabilized set S = A^n is then certified
+    by S * A = S: with 1 in A that gives S * A^k = S for every k, so
+    S * S = S * A^n = S.
     """
     if n_max < 1:
         raise DomainError("n_max must be >= 1")
     m = gen.modulus
     phi = euler_phi(m)
-    gen_members = [int(x) for x in gen.base.members]
-    mask, frontier, parent, factor = _chain_start(gen)
-    card = frontier.size
-    cards = [card]
-    n = 1
-    n_stab: Optional[int] = 1 if card == phi else None
-    while n_stab is None and n < n_max:
-        frontier = _step(m, mask, frontier, gen_members, parent, factor)
-        card += frontier.size
-        cards.append(card)
-        if frontier.size == 0:
-            n_stab = n
-        else:
-            n += 1
-            if card == phi:
-                n_stab = n
-
-    base = ResidueSet(m, mask)
-    witness = _WitnessView(base, _parent_witness(parent, factor)) if with_witness else None
+    level, cards, n_stab = _chain(m, gen.base.members, n_max)
+    base = ResidueSet(m, level > 0)
+    witness = None
+    if with_witness:
+        witness = _WitnessView(base, _level_witness(m, level, gen.base.members))
     s = WitnessedSet(base, witness)
-    closed = is_subgroup(s.base) if n_stab is not None else False
+    closed = n_stab is not None and product_set(base, gen.base.base) == base
     if n_stab is not None and not closed:
         raise AssertionError("stabilized set failed the closure check")
     order = s.cardinality
@@ -190,7 +181,7 @@ def power_set_sequence(
         raise AssertionError("subgroup order does not divide phi(m)")
     ell = None
     if n_stab is not None and is_prime(m):
-        ell = power_residue_index(s.base)
+        ell = power_residue_index(base)
     return GrowthReport(
         modulus=m,
         c=gen.c,
@@ -210,13 +201,8 @@ def nth_power_set(gen: GeneratorSet, n: int) -> ResidueSet:
     """A^n as a plain set (stops early once the chain stabilizes)."""
     if n < 1:
         raise DomainError("n must be >= 1")
-    mask, frontier, parent, factor = _chain_start(gen)
-    gen_members = [int(x) for x in gen.base.members]
-    for _ in range(n - 1):
-        frontier = _step(gen.modulus, mask, frontier, gen_members, parent, factor)
-        if frontier.size == 0:
-            break
-    return ResidueSet(gen.modulus, mask)
+    level, _, _ = _chain(gen.modulus, gen.base.members, n)
+    return ResidueSet(gen.modulus, level > 0)
 
 
 class OlsonCheck(NamedTuple):
@@ -232,35 +218,43 @@ def olson_bound_check(x: ResidueSet) -> OlsonCheck:
         raise DomainError("X must contain 1")
     if np.any(np.gcd(x.members, x.modulus) != 1):
         raise DomainError("members must be coprime to the modulus")
-    s = x
-    h = 1
-    while True:
-        t = product_set(s, x)
-        if t.cardinality == s.cardinality:
-            break
-        s = t
-        h += 1
-    bound = max(2.0, 2 * s.cardinality / x.cardinality - 1)
-    return OlsonCheck(h, bound, s)
+    # Every step before stabilization adds a unit, so h <= phi(m) < n_max.
+    level, cards, h = _chain(x.modulus, x.members, x.modulus + 1)
+    bound = max(2.0, 2 * cards[-1] / x.cardinality - 1)
+    return OlsonCheck(h, bound, ResidueSet(x.modulus, level > 0))
+
+
+def _power_mod(xs: np.ndarray, e: int, m: int) -> np.ndarray:
+    """xs**e mod m for each entry, by square-and-multiply over the array
+    (Python integers once a product of two residues can overflow int64)."""
+    base = xs.astype(np.int64 if m < 1 << 31 else object) % m
+    out = np.ones_like(base) % m
+    while e:
+        if e & 1:
+            out = out * base % m
+        base = base * base % m
+        e >>= 1
+    return out
 
 
 def power_residue_index(s: ResidueSet, p: Optional[int] = None) -> int:
     """The index ell with S equal to the ell-th powers mod p; requires S to be
-    a subgroup of the unit group of a prime modulus."""
+    a subgroup of the unit group of a prime modulus.
+
+    The unit group mod p is cyclic, so for each d dividing p - 1 exactly d
+    units solve x^d = 1, and they are the (p-1)/d-th powers. S is therefore a
+    subgroup exactly when d = |S| divides p - 1 and x^d = 1 for every x in S.
+    """
     if p is None:
         p = s.modulus
     elif p != s.modulus:
         raise DomainError("modulus mismatch")
     if not is_prime(p):
         raise DomainError("power-residue index is defined for prime moduli only")
-    if not is_subgroup(s):
-        raise DomainError("set is not a subgroup")
     order = s.cardinality
-    ell = (p - 1) // order
-    powers = ResidueSet.from_members(p, (pow(x, ell, p) for x in range(1, p)))
-    if powers != s:
-        raise AssertionError("subgroup is not the ell-th power image")
-    return ell
+    if order == 0 or (p - 1) % order or np.any(_power_mod(s.members, order, p) != 1):
+        raise DomainError("set is not a subgroup")
+    return (p - 1) // order
 
 
 class NonresidueResult(NamedTuple):
@@ -270,18 +264,19 @@ class NonresidueResult(NamedTuple):
 
 def least_power_nonresidue(p: int, ell: int) -> NonresidueResult:
     """Smallest positive integer that is not an ell-th power residue mod p,
-    with the classical diagnostic cap (reported, never asserted)."""
+    with the classical diagnostic cap (reported, never asserted).
+
+    By Euler's criterion a unit x is an ell-th power exactly when
+    x^((p-1)/ell) = 1, and for ell >= 2 some unit below p fails it."""
     if not is_prime(p):
         raise DomainError("p must be prime")
     if ell == 1:
         raise DomainError("every residue is a first power")
     if ell < 1 or (p - 1) % ell != 0:
         raise DomainError("ell must divide p - 1")
-    residue = np.zeros(p, dtype=bool)
-    for x in range(1, p):
-        residue[pow(x, ell, p)] = True
-    t = 1
-    while residue[t % p]:
+    e = (p - 1) // ell
+    t = 2
+    while pow(t, e, p) == 1:
         t += 1
     return NonresidueResult(t, nonresidue_cap(p, ell))
 

@@ -140,10 +140,6 @@ class ResidueSet:
         return f"ResidueSet(m={self._modulus}, {{{', '.join(map(str, shown))}{tail}}})"
 
 
-def interval_to_set(interval: Interval) -> ResidueSet:
-    return interval.to_set()
-
-
 @lru_cache(maxsize=512)
 def units_mask(m: int) -> np.ndarray:
     """Boolean mask of residues coprime to m."""
@@ -292,8 +288,8 @@ class WitnessedSet:
     smallest t for that s; in a growth chain it is the first power A^n
     holding the member, then the smallest generator reaching it from A^(n-1).
     The sets built here hold the witnesses as a read-only view that stores
-    only the operands or parent pointers and rebuilds a witness when it is
-    looked up.
+    only the operands or the chain's level array and rebuilds a witness when
+    it is looked up.
     """
 
     base: ResidueSet

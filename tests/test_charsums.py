@@ -1,3 +1,5 @@
+import gc
+import weakref
 from fractions import Fraction
 from itertools import product as iproduct
 from math import prod, sqrt
@@ -9,6 +11,7 @@ from hypothesis import strategies as st
 
 from prodcong.arith import build_field_context, primes_in_range
 from prodcong.charsums import (
+    _unit_roots,
     burgess_profile,
     char_sum,
     energy_diagnostic,
@@ -85,6 +88,15 @@ class TestCharSum:
             total = sum(char_sum(ctx, j, [u]) for j in range(p - 1)) / (p - 1)
             expected = 1.0 if u == 1 else 0.0
             assert total == pytest.approx(expected, abs=1e-9)
+
+    def test_root_cache_keeps_only_the_latest_tables(self):
+        # a sweep over primes must not pin one root table per prime
+        refs = []
+        for p in (1009, 1013, 1019, 1021, 1031):
+            char_sum(build_field_context(p), 1, [1, 2])
+            refs.append(weakref.ref(_unit_roots(p - 1)))
+        gc.collect()
+        assert sum(ref() is not None for ref in refs) <= 2
 
 
 class TestProductEnergy:

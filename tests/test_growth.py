@@ -1,3 +1,4 @@
+import tracemalloc
 from math import gcd, isqrt, prod
 
 import numpy as np
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from prodcong.errors import DomainError, NotRepresentableError
 from prodcong.growth import (
+    _power_mod,
     build_generator_set,
     is_subgroup,
     least_power_nonresidue,
@@ -20,6 +22,7 @@ from prodcong.growth import (
 from prodcong.residues import ResidueSet
 from prodcong.rng import stream
 from prodcong.smooth import build_smooth_table, greedy_factor
+from reference_growth import olson_reference
 from reference_witness import growth_chain
 
 
@@ -330,3 +333,81 @@ class TestSmoothInclusion:
                 count += 1
             assert a5.cardinality >= count
             assert count == table.psi_q(m, bound, m)
+
+
+def closed_under_products(m, s) -> bool:
+    return all(a * b % m in s for a in s for b in s)
+
+
+def generated_subgroup(m, xs) -> set:
+    group = {1 % m} | set(xs)
+    while True:
+        grown = group | {a * b % m for a in group for b in group}
+        if grown == group:
+            return group
+        group = grown
+
+
+composites = st.integers(min_value=4, max_value=300).filter(
+    lambda m: any(m % d == 0 for d in range(2, isqrt(m) + 1))
+)
+
+
+class TestChainKernel:
+    @given(composites, st.data())
+    def test_olson_matches_reference_loop(self, m, data):
+        units = [x for x in range(1, m) if gcd(x, m) == 1]
+        chosen = data.draw(st.sets(st.sampled_from(units), max_size=12))
+        x = ResidueSet.from_members(m, {1, *chosen})
+        check = olson_bound_check(x)
+        assert (check.h_actual, check.h_bound, check.group) == olson_reference(x)
+
+    def test_olson_modulus_one(self):
+        x = ResidueSet.from_members(1, [0])
+        check = olson_bound_check(x)
+        assert (check.h_actual, check.h_bound, check.group) == (1, 2.0, x)
+
+    @given(st.integers(min_value=2, max_value=80), st.data())
+    def test_is_subgroup_matches_bruteforce(self, m, data):
+        units = [x for x in range(1, m) if gcd(x, m) == 1]
+        xs = data.draw(st.sets(st.sampled_from(units), min_size=1, max_size=6))
+        group = generated_subgroup(m, xs)
+        g = data.draw(st.sampled_from(units))
+        coset = {g * h % m for h in group}
+        for s in (xs, group, coset, set(units)):
+            assert is_subgroup(ResidueSet.from_members(m, s)) == closed_under_products(m, s)
+
+    def test_power_residue_index_rejects_cosets(self):
+        for p in (7, 13, 31, 61):
+            for d in (d for d in range(1, p - 1) if (p - 1) % d == 0):
+                sub = {x for x in range(1, p) if pow(x, d, p) == 1}
+                g = next(x for x in range(2, p) if x not in sub)
+                coset = ResidueSet.from_members(p, {g * h % p for h in sub})
+                assert coset.cardinality == d
+                with pytest.raises(DomainError):
+                    power_residue_index(coset)
+
+    def test_power_mod_beyond_int64_products(self):
+        m = (1 << 61) - 1
+        xs = np.array([2, 3, m - 1, 123456789123], dtype=np.int64)
+        for e in (0, 1, 5, m - 2):
+            assert list(_power_mod(xs, e, m)) == [pow(int(x), e, m) for x in xs]
+
+    def test_least_power_nonresidue_oracle(self):
+        for p in (p for p in range(3, 200) if all(p % d for d in range(2, isqrt(p) + 1))):
+            for ell in (d for d in range(2, p) if (p - 1) % d == 0):
+                residues = {pow(x, ell, p) for x in range(1, p)}
+                expected = next(t for t in range(1, p) if t not in residues)
+                assert least_power_nonresidue(p, ell).t == expected
+
+    def test_closure_needs_no_quadratic_table(self):
+        # cutoff 7 mod 8039 generates the 4019 squares; a |S| x |S| closure
+        # table would be 129 MB
+        tracemalloc.start()
+        try:
+            rep = power_set_sequence(build_generator_set(8039, cutoff=7))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (rep.subgroup_order, rep.ell, rep.is_subgroup_at_stab) == (4019, 2, True)
+        assert peak < 16 * 2**20

@@ -13,7 +13,6 @@ from prodcong.residues import (
     Interval,
     ResidueSet,
     coverage_check,
-    interval_to_set,
     iterated_interval_product,
     product_set,
     scale_set,
@@ -390,10 +389,6 @@ class TestTripleProductStats:
 
 
 class TestInterop:
-    def test_interval_to_set_alias(self):
-        iv = Interval(0, 3, 13)
-        assert interval_to_set(iv) == iv.to_set()
-
     def test_residue_set_equality_and_iter(self):
         s = ResidueSet.from_members(7, [3, 1, 5])
         assert list(s) == [1, 3, 5]
