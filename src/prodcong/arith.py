@@ -178,14 +178,19 @@ class FieldContext:
 
 # Each context holds a p-entry int64 table (up to 32 MB at the table cap), and
 # no caller reuses more than the current prime, so only the last two are kept.
+# The table lists g**e for e = i*b + j as (g**b)**i * g**j with b = ceil(sqrt(p-1)):
+# one outer product of two sqrt(p)-length power tables, taken mod p in place,
+# holds every power in exponent order, and dlog inverts that permutation.
 @lru_cache(maxsize=2)
 def _field_context(p: int) -> FieldContext:
     g = primitive_root(p)
+    b = isqrt(p - 2) + 1
+    small = np.array([pow(g, j, p) for j in range(b)], dtype=np.int64)
+    giant = np.array([pow(g, b * i, p) for i in range(-(-(p - 1) // b))], dtype=np.int64)
+    powers = np.multiply.outer(giant, small)
+    np.remainder(powers, p, out=powers)
     dlog = np.full(p, -1, dtype=np.int64)
-    x = 1
-    for e in range(p - 1):
-        dlog[x] = e
-        x = x * g % p
+    dlog[powers.ravel()[: p - 1]] = np.arange(p - 1)
     dlog.setflags(write=False)
     return FieldContext(p, g, dlog)
 
@@ -196,6 +201,11 @@ def build_field_context(p: int) -> FieldContext:
     if p > table_cap():
         raise ResourceError(
             f"p={p} exceeds the dense table cap {table_cap()} (set {TABLE_CAP_ENV} to raise)"
+        )
+    if (p - 1) ** 2 >= 1 << 63:
+        raise ResourceError(
+            f"p={p}: the {p}-entry index table multiplies residues up to (p-1)**2 = "
+            f"{(p - 1) ** 2}, which overflows int64"
         )
     return _field_context(p)
 

@@ -33,6 +33,28 @@ def _unit_roots(order: int) -> np.ndarray:
     return roots
 
 
+# One spectrum holds p-1 float64 magnitudes (8 MB near p = 10**6). A charsum
+# row asks for the spectrum of {1..len} three times (the profile, then X and Y
+# of the collision identity), so the last one is kept, keyed on the set.
+_last_spectrum: tuple[tuple, np.ndarray] | None = None
+
+
+def _dlog_spectrum(ctx: FieldContext, members: np.ndarray) -> np.ndarray:
+    """|DFT| of the dlog indicator of the units: entry j is |sum of chi_j|."""
+    global _last_spectrum
+    key = (ctx.p, ctx.g, members.tobytes())
+    last = _last_spectrum
+    if last is not None and last[0] == key:
+        return last[1]
+    _last_spectrum = None  # drop the old spectrum before the FFT buffers exist
+    ind = np.zeros(ctx.p - 1)
+    ind[ctx.dlog[members]] = 1.0
+    mags = np.abs(np.fft.fft(ind))
+    mags.setflags(write=False)
+    _last_spectrum = (key, mags)
+    return mags
+
+
 def _unit_members(values: Values, p: int) -> np.ndarray:
     """Normalize a set-like argument to a sorted array of units in 1..p-1."""
     if isinstance(values, WitnessedSet):
@@ -92,20 +114,14 @@ def product_energy_via_characters(
     """Evaluate (1/(p-1)) * sum over all characters of |S_X(chi)|^2 |S_Y(chi)|^2.
 
     The per-character sums are the DFT of the dlog-indicator vectors, so the
-    whole spectrum comes from two FFTs. Must agree with product_energy within
-    floating tolerance.
+    whole spectrum comes from one FFT per set, and none when X = Y or the set's
+    spectrum is the one kept from the last call. Must agree with product_energy
+    within floating tolerance.
     """
     p = ctx.p
-    xm = _unit_members(x_values, p)
-    ym = _unit_members(y_values, p)
-    n = p - 1
-    fx = np.zeros(n)
-    fx[ctx.dlog[xm]] = 1.0
-    fy = np.zeros(n)
-    fy[ctx.dlog[ym]] = 1.0
-    tx = np.abs(np.fft.fft(fx)) ** 2
-    ty = np.abs(np.fft.fft(fy)) ** 2
-    return float((tx * ty).sum() / n)
+    tx = _dlog_spectrum(ctx, _unit_members(x_values, p)) ** 2
+    ty = _dlog_spectrum(ctx, _unit_members(y_values, p)) ** 2
+    return float((tx * ty).sum() / (p - 1))
 
 
 def multiplicative_energy(limit: int, n0: int, p: int) -> int:
@@ -178,9 +194,7 @@ def burgess_profile(ctx: FieldContext, interval_len: int) -> CharProfile:
         raise DomainError("interval length must satisfy 1 <= len < p")
     if p < 3:
         raise DomainError("no nonprincipal characters exist for p < 3")
-    ind = np.zeros(p - 1)
-    ind[ctx.dlog[np.arange(1, interval_len + 1)]] = 1.0
-    mags = np.abs(np.fft.fft(ind))
+    mags = _dlog_spectrum(ctx, np.arange(1, interval_len + 1))
     j = 1 + int(np.argmax(mags[1:]))
     return CharProfile(float(mags[j] / interval_len), j)
 

@@ -1,4 +1,5 @@
 import gc
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from prodcong import arith
 from prodcong.arith import (
     Modulus,
     build_field_context,
@@ -19,6 +21,7 @@ from prodcong.arith import (
 )
 from prodcong.errors import DomainError, ResourceError
 from prodcong.rng import stream
+from reference_field import dlog_reference
 
 
 def trial_division_is_prime(n: int) -> bool:
@@ -157,6 +160,33 @@ class TestFieldContext:
         monkeypatch.setenv("PRODCONG_TABLE_CAP", "10")
         with pytest.raises(ResourceError):
             build_field_context(11)
+
+    @pytest.mark.parametrize(
+        "primes",
+        [primes_in_range(2, 5999), [65537], [4194301]],
+        ids=["below-6000", "65537", "table-cap"],
+    )
+    def test_table_equals_reference_loop(self, primes):
+        for p in primes:
+            ctx = build_field_context(p)
+            assert ctx.dlog.dtype == np.int64 and not ctx.dlog.flags.writeable
+            assert np.array_equal(ctx.dlog, dlog_reference(p, ctx.g)), p
+
+    def test_int64_overflow_refused_before_allocating(self, monkeypatch):
+        # 3037000507 is the least prime with (p-1)**2 >= 2**63; its table would
+        # take 24 GB, so the build must not even start
+        def build_started(p):
+            raise AssertionError(f"table build started for p={p}")
+
+        monkeypatch.setenv("PRODCONG_TABLE_CAP", str(1 << 40))
+        monkeypatch.setattr(arith, "primitive_root", build_started)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceError, match="9223372073444256036"):
+                build_field_context(3037000507)
+            assert tracemalloc.get_traced_memory()[1] < 1 << 20
+        finally:
+            tracemalloc.stop()
 
     def test_cache_keeps_only_the_latest_tables(self):
         # a sweep over primes must not pin one dlog table per prime

@@ -9,8 +9,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from prodcong.arith import build_field_context, primes_in_range
+from prodcong.arith import FieldContext, build_field_context, primes_in_range
 from prodcong.charsums import (
+    _dlog_spectrum,
     _unit_roots,
     burgess_profile,
     char_sum,
@@ -24,6 +25,7 @@ from prodcong.charsums import (
 from prodcong.errors import DomainError
 from prodcong.residues import ResidueSet, product_set
 from prodcong.rng import stream
+from reference_field import dlog_reference
 
 
 def brute_energy(xs, ys, p):
@@ -170,8 +172,18 @@ class TestCharacterIdentity:
             assert abs(via_chars - direct) <= 1e-6 * direct
 
     def test_three_routes_agree(self):
-        # histogram count, FFT spectrum, and an explicit per-character loop
-        for p, xs, ys in [(13, [1, 5, 8], [2, 3]), (31, [7, 9, 11, 30], [1, 2, 3, 4, 5])]:
+        # histogram count, FFT spectrum, and an explicit per-character loop;
+        # the later cases swap X and Y, set X = Y and change p under the same
+        # members, so a spectrum kept from the case before must never be reused
+        for p, xs, ys in [
+            (13, [1, 5, 8], [2, 3]),
+            (31, [7, 9, 11, 30], [1, 2, 3, 4, 5]),
+            (31, [1, 2, 3, 4, 5], [7, 9, 11, 30]),
+            (31, [7, 9, 11, 30], [7, 9, 11, 30]),
+            (31, [1, 2, 3, 4, 5], [1, 2, 3, 4, 5]),
+            (37, [1, 2, 3, 4, 5], [1, 2, 3, 4, 5]),
+            (37, [1, 2, 3, 4, 5], [2, 3]),
+        ]:
             ctx = build_field_context(p)
             direct = product_energy(xs, ys, p)
             via_fft = product_energy_via_characters(ctx, xs, ys)
@@ -181,6 +193,30 @@ class TestCharacterIdentity:
             ) / (p - 1)
             assert via_fft == pytest.approx(direct, rel=1e-9)
             assert via_loop == pytest.approx(direct, rel=1e-9)
+
+
+class TestSpectrumMemo:
+    def test_keeps_at_most_one_spectrum(self):
+        # a sweep over primes must not pin one spectrum per prime
+        refs = []
+        for p in (1009, 1013, 1019, 1021, 1031):
+            spectrum = _dlog_spectrum(build_field_context(p), np.arange(1, 6))
+            assert not spectrum.flags.writeable
+            refs.append(weakref.ref(spectrum))
+            del spectrum
+        gc.collect()
+        assert sum(ref() is not None for ref in refs) <= 1
+
+    def test_generator_is_part_of_the_key(self):
+        # the same set under another primitive root permutes the characters
+        p = 11
+        ctx = build_field_context(p)
+        other = FieldContext(p, 7, dlog_reference(p, 7))
+        for c in (ctx, other, ctx):
+            expected = max(
+                range(1, p - 1), key=lambda j: (round(abs(char_sum(c, j, [1, 2, 3])), 9), -j)
+            )
+            assert burgess_profile(c, 3).argmax_j == expected
 
 
 class TestMultiplicativeEnergy:

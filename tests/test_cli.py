@@ -1,11 +1,13 @@
 import csv
+import hashlib
 import io
 import json
 from math import prod
 
+import numpy as np
 import pytest
 
-from prodcong import cli
+from prodcong import charsums, cli
 from prodcong.cli import main
 
 
@@ -143,6 +145,44 @@ class TestCharsumCommand:
         for row in doc["rows"]:
             assert abs(row["j_char"] - row["j_direct"]) <= 1e-6 * row["j_direct"]
             assert 0 <= row["max_ratio"] <= 1
+
+    # SHA-256 of the report bodies written when each prime took three FFTs;
+    # one kept spectrum per prime must leave every bit alone.
+    @pytest.mark.parametrize(
+        "args,fmt,digest",
+        [
+            (["--p", "31", "--len", "5"], "json",
+             "145df6c45fb4e9154f9446a39b64d5cd63d7f10cf8d7626920e599ad8579c9b9"),
+            (["--p", "31", "--len", "5"], "csv",
+             "18551cd52379066c50cb6e29b8db8dc512a003d6cec722c8135bac66607ac407"),
+            (["--p", "1009,1013", "--len", "7", "--n0", "3"], "json",
+             "c3d34c5a1454c859058b212c6eb510b67fdbe64e9919ee409f9e7010eb495aef"),
+            (["--p", "1009,1013", "--len", "7", "--n0", "3"], "csv",
+             "e3aac566f97144a3e16308e667476d364f93fbf785e16ac0e2ad12335615849a"),
+            (["--p", "100003", "--len", "20"], "json",
+             "aac9dc6b977e7cf88a9902a1d989c395981482d0be983cb2068951e89cdcc9ff"),
+            (["--p", "100003", "--len", "20"], "csv",
+             "5fef638b9a471da4a45d5084b0ee1c994c801ff8cc8e5baef9317594044e6034"),
+        ],
+    )
+    def test_report_bytes_pinned(self, capsys, args, fmt, digest):
+        code, out, _ = run(capsys, ["charsum", *args, "--format", fmt])
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    def test_one_fft_per_prime(self, capsys, monkeypatch):
+        calls = []
+        fft = np.fft.fft
+
+        def counting_fft(a, *rest, **kw):
+            calls.append(len(a))
+            return fft(a, *rest, **kw)
+
+        monkeypatch.setattr(np.fft, "fft", counting_fft)
+        monkeypatch.setattr(charsums, "_last_spectrum", None)
+        code, _, _ = run(capsys, ["charsum", "--p", "1009,1013", "--len", "7"])
+        assert code == 0
+        assert calls == [1008, 1012]
 
 
 class TestSmoothCommand:
