@@ -75,7 +75,6 @@ from .solver import (
     ThresholdResult,
     abc_scan,
     solve,
-    solve_anchored,
     threshold_scan,
     twelve_interval_instance,
     verify_witness,

@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import sys
 from functools import cache
-from math import gcd
 
 import numpy as np
 
@@ -25,10 +24,10 @@ from .growth import (
     represent_unit,
 )
 from .report import Report
-from .residues import Interval, ResidueSet, coverage_check
+from .residues import Interval, ResidueSet, coverage_check, units_mask
 from .rng import stream
 from .smooth import build_smooth_table, greedy_factor
-from .solver import SolveInstance, abc_scan, solve, solve_anchored, threshold_scan
+from .solver import SolveInstance, abc_scan, solve, threshold_scan
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -53,31 +52,35 @@ def _parse_intervals(spec: str, p: int) -> list[Interval]:
     out = []
     for token in spec.split(","):
         try:
-            off_s, len_s = token.split(":")
-            out.append(Interval(int(off_s), int(len_s), p))
+            offset, length = map(int, token.split(":"))
         except ValueError as exc:
-            if isinstance(exc, DomainError):
-                raise
             raise DomainError(f"bad interval spec {token!r} (expected L:N)") from exc
+        out.append(Interval(offset, length, p))
     return out
 
 
-def _emit(report: Report, args) -> None:
-    report.write(args.out, args.format)
+def _span(one: int | None, lo: int | None, hi: int | None, name: str) -> list[int]:
+    if one is not None:
+        return [one]
+    if lo is None or hi is None:
+        raise DomainError(f"give --{name} or both --{name}-min and --{name}-max")
+    if lo > hi:
+        raise DomainError(f"--{name}-min must not exceed --{name}-max")
+    return list(range(lo, hi + 1))
 
 
-def cmd_solve(args) -> int:
+def cmd_solve(args) -> tuple[Report, int]:
     p = _parse_prime(args.p)
     if args.intervals:
         intervals = _parse_intervals(args.intervals, p)
-        if len(intervals) != 13:
-            raise DomainError("solve needs exactly 13 interval specs")
     elif args.len:
         intervals = [Interval(0, args.len, p) for _ in range(13)]
     else:
         raise DomainError("give --intervals or --len")
     instance = SolveInstance(p, args.a, args.b, args.c, tuple(intervals[:6]), tuple(intervals[6:]))
-    result = solve_anchored(instance) if args.anchored else solve(instance)
+    if args.anchored and 1 not in instance.right[-1]:
+        raise DomainError("last right interval must contain 1")
+    result = solve(instance)
     witness = "" if result.witness is None else ",".join(map(str, result.witness))
     report = Report(
         command="solve",
@@ -89,7 +92,6 @@ def cmd_solve(args) -> int:
             "intervals": ",".join(f"{iv.offset}:{iv.length}" for iv in instance.intervals),
             "anchored": bool(args.anchored),
         },
-        columns=["p", "a", "b", "c", "solvable", "witness", "left_card", "right_card"],
         rows=[
             {
                 "p": p,
@@ -104,18 +106,12 @@ def cmd_solve(args) -> int:
         ],
         summary={"solvable": result.solvable},
     )
-    _emit(report, args)
-    return EXIT_OK if result.solvable else EXIT_NEGATIVE
+    return report, EXIT_OK if result.solvable else EXIT_NEGATIVE
 
 
-def cmd_scan(args) -> int:
+def cmd_scan(args) -> tuple[Report, int]:
     primes = _parse_prime_list(args.p)
-    if args.len is not None:
-        len_range = [args.len]
-    elif args.len_min is not None and args.len_max is not None:
-        len_range = list(range(args.len_min, args.len_max + 1))
-    else:
-        raise DomainError("give --len or both --len-min and --len-max")
+    len_range = _span(args.len, args.len_min, args.len_max, "len")
     rows = []
     failures = []
     failure_count = 0
@@ -143,15 +139,13 @@ def cmd_scan(args) -> int:
             "sample": args.sample,
             "seed": args.seed,
         },
-        columns=["p", "len", "total", "solvable", "fraction"],
         rows=rows,
         summary={"failure_count": failure_count, "example_failures": failures[:20]},
     )
-    _emit(report, args)
-    return EXIT_OK
+    return report, EXIT_OK
 
 
-def cmd_threshold(args) -> int:
+def cmd_threshold(args) -> tuple[Report, int]:
     p = _parse_prime(args.p)
     res = threshold_scan(p, max_len=args.max_len)
     rows = [
@@ -161,7 +155,6 @@ def cmd_threshold(args) -> int:
     report = Report(
         command="threshold",
         config={"p": p, "max_len": args.max_len},
-        columns=["p", "len", "total", "solvable", "fraction"],
         rows=rows,
         summary={
             "minimal_len": res.minimal_len,
@@ -169,21 +162,11 @@ def cmd_threshold(args) -> int:
             "ratio_to_p_quarter": None if res.minimal_len is None else res.minimal_len / p**0.25,
         },
     )
-    _emit(report, args)
-    return EXIT_OK
+    return report, EXIT_OK
 
 
-def cmd_growth(args) -> int:
-    if args.m is not None:
-        m_range = [args.m]
-    elif args.m_min is not None and args.m_max is not None:
-        m_range = list(range(args.m_min, args.m_max + 1))
-    else:
-        raise DomainError("give --m or both --m-min and --m-max")
-    if (args.c is None) == (args.cutoff is None):
-        raise DomainError("give exactly one of --c and --cutoff")
-    if args.c is not None and not 0 < args.c < 1:
-        raise DomainError("c must lie in (0, 1)")
+def cmd_growth(args) -> tuple[Report, int]:
+    m_range = _span(args.m, args.m_min, args.m_max, "m")
     rows = []
     max_n_stab = 0
     unstabilized = 0
@@ -213,18 +196,17 @@ def cmd_growth(args) -> int:
             "cutoff": args.cutoff,
             "n_max": args.n_max,
         },
-        columns=["m", "card_A", "n_stab", "subgroup_order", "density", "ell", "degenerate"],
         rows=rows,
         summary={"count": len(rows), "max_n_stab": max_n_stab, "unstabilized": unstabilized},
     )
-    _emit(report, args)
-    return EXIT_OK
+    return report, EXIT_OK
 
 
-def cmd_charsum(args) -> int:
+def cmd_charsum(args) -> tuple[Report, int]:
     primes = _parse_prime_list(args.p)
     rows = []
     for p in primes:
+        # checked before the dlog table is built, so a prime over the cap still exits 2
         if args.len >= p:
             raise DomainError("interval length must be below p")
         ctx = build_field_context(p)
@@ -245,15 +227,13 @@ def cmd_charsum(args) -> int:
     report = Report(
         command="charsum",
         config={"p": primes, "len": args.len, "n0": args.n0},
-        columns=["p", "len", "n0", "max_ratio", "argmax_j", "j_direct", "j_char", "bound_delta"],
         rows=rows,
         summary={"count": len(rows)},
     )
-    _emit(report, args)
-    return EXIT_OK
+    return report, EXIT_OK
 
 
-def cmd_smooth(args) -> int:
+def cmd_smooth(args) -> tuple[Report, int]:
     m = args.m
     if m < 2:
         raise DomainError("m must be >= 2")
@@ -278,27 +258,23 @@ def cmd_smooth(args) -> int:
     }
     failures = 0
     if args.check_greedy:
-        checked = 0
-        max_k = 0
         xs = np.arange(1, m + 1, dtype=np.int64)
-        eligible = (table.lpf[1 : m + 1] <= bound) & (np.gcd(xs, m) == 1)
-        for x in xs[eligible].tolist():
+        eligible = xs[(table.lpf[1 : m + 1] <= bound) & (np.gcd(xs, m) == 1)].tolist()
+        max_k = 0
+        for x in eligible:
             try:
-                fac = greedy_factor(int(x), m, args.c0, args.c0, table=table)
+                fac = greedy_factor(x, m, args.c0, args.c0, table=table)
                 max_k = max(max_k, fac.k)
             except ProdcongError:
                 failures += 1
-            checked += 1
-        row.update(greedy_checked=checked, greedy_max_k=max_k, greedy_failures=failures)
+        row.update(greedy_checked=len(eligible), greedy_max_k=max_k, greedy_failures=failures)
     report = Report(
         command="smooth",
         config={"m": m, "c0": args.c0, "check_greedy": bool(args.check_greedy)},
-        columns=list(row.keys()),
         rows=[row],
         summary={"delta_hat": row["delta_hat"], "greedy_failures": row["greedy_failures"]},
     )
-    _emit(report, args)
-    return EXIT_NEGATIVE if failures else EXIT_OK
+    return report, EXIT_NEGATIVE if failures else EXIT_OK
 
 
 def coverage_trials(p: int, count: int, seed: int):
@@ -321,7 +297,7 @@ def coverage_trials(p: int, count: int, seed: int):
         yield trial, sizes, coverage_check(*sets, p)
 
 
-def cmd_coverage(args) -> int:
+def cmd_coverage(args) -> tuple[Report, int]:
     rows = []
     counterexamples = 0
     for trial, sizes, res in coverage_trials(args.p, args.random, args.seed):
@@ -342,27 +318,16 @@ def cmd_coverage(args) -> int:
     report = Report(
         command="coverage",
         config={"p": args.p, "random": args.random, "seed": args.seed},
-        columns=[
-            "trial",
-            "card_a",
-            "card_b",
-            "card_c",
-            "card_d",
-            "hypothesis_met",
-            "covers",
-            "missing_count",
-        ],
         rows=rows,
         summary={"trials": len(rows), "counterexamples": counterexamples},
     )
-    _emit(report, args)
-    return EXIT_NEGATIVE if counterexamples else EXIT_OK
+    return report, EXIT_NEGATIVE if counterexamples else EXIT_OK
 
 
-def cmd_represent(args) -> int:
+def cmd_represent(args) -> tuple[Report, int]:
     m = args.m
-    if (args.c is None) == (args.cutoff is None):
-        raise DomainError("give exactly one of --c and --cutoff")
+    if m < 2:
+        raise DomainError("m must be >= 2")
     target = args.target % m
     try:
         if target == 1:
@@ -370,21 +335,10 @@ def cmd_represent(args) -> int:
         else:
             rep = represent_target(m, target, args.c, cutoff=args.cutoff, n_max=args.n_max)
     except NotRepresentableError as exc:
-        report = Report(
-            command="represent",
-            config={"m": m, "target": target, "c": args.c, "cutoff": args.cutoff},
-            columns=["m", "target", "cutoff", "k", "factors", "verified"],
-            rows=[],
-            summary={"representable": False, "ell": exc.ell, "reason": str(exc)},
-        )
-        _emit(report, args)
-        return EXIT_NEGATIVE
-    rep.verify()
-    report = Report(
-        command="represent",
-        config={"m": m, "target": target, "c": args.c, "cutoff": args.cutoff},
-        columns=["m", "target", "cutoff", "k", "factors", "verified"],
-        rows=[
+        rows = []
+        summary = {"representable": False, "ell": exc.ell, "reason": str(exc)}
+    else:
+        rows = [
             {
                 "m": m,
                 "target": target,
@@ -393,14 +347,21 @@ def cmd_represent(args) -> int:
                 "factors": ",".join(map(str, rep.factors)),
                 "verified": True,
             }
-        ],
-        summary={"representable": True},
+        ]
+        summary = {"representable": True}
+    report = Report(
+        command="represent",
+        config={"m": m, "target": target, "c": args.c, "cutoff": args.cutoff},
+        columns=["m", "target", "cutoff", "k", "factors", "verified"],
+        rows=rows,
+        summary=summary,
     )
-    _emit(report, args)
-    return EXIT_OK
+    return report, EXIT_OK if summary["representable"] else EXIT_NEGATIVE
 
 
-def cmd_olson_suite(args) -> int:
+def cmd_olson_suite(args) -> tuple[Report, int]:
+    if args.count < 1:
+        raise DomainError("count must be >= 1")
     if args.m_max < 2:
         raise DomainError("m-max must be >= 2")
     gen = stream(args.seed, "olson-suite")
@@ -408,12 +369,12 @@ def cmd_olson_suite(args) -> int:
     violations = 0
     for trial in range(args.count):
         m = int(gen.integers(2, args.m_max + 1))
-        units = [x for x in range(1, m) if gcd(x, m) == 1] or [1 % m]
+        units = np.flatnonzero(units_mask(m))
         if m == 2:
             members = [1]
         else:
             extra = int(gen.integers(0, len(units)))
-            chosen = gen.choice(np.array(units), size=extra, replace=False) if extra else []
+            chosen = gen.choice(units, size=extra, replace=False) if extra else []
             members = sorted({1, *map(int, chosen)})
         check = olson_bound_check(ResidueSet.from_members(m, members))
         ok = check.h_actual <= max(check.h_bound, 1)
@@ -432,12 +393,10 @@ def cmd_olson_suite(args) -> int:
     report = Report(
         command="olson-suite",
         config={"count": args.count, "m_max": args.m_max, "seed": args.seed},
-        columns=["trial", "m", "card_x", "group_order", "h_actual", "h_bound", "ok"],
         rows=rows,
         summary={"trials": len(rows), "violations": violations},
     )
-    _emit(report, args)
-    return EXIT_NEGATIVE if violations else EXIT_OK
+    return report, EXIT_NEGATIVE if violations else EXIT_OK
 
 
 def _add_common(sub: argparse.ArgumentParser) -> None:
@@ -539,16 +498,15 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
-        return args.func(args)
-    except NotRepresentableError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NEGATIVE
+        report, code = args.func(args)
+        report.write(args.out, args.format)
     except ResourceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
     except (DomainError, ValueError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    return code
 
 
 if __name__ == "__main__":

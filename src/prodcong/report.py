@@ -50,14 +50,20 @@ def _cell(value: Any) -> str:
 
 @dataclass
 class Report:
+    """One command's report; columns default to the keys of the first row."""
+
     command: str
     config: dict
-    columns: list[str]
     rows: list[dict]
     summary: dict
+    columns: Optional[list[str]] = None
     schema_version: int = SCHEMA_VERSION
 
     def __post_init__(self):
+        if self.columns is None:
+            if not self.rows:
+                raise ValueError("a report without rows needs explicit columns")
+            self.columns = list(self.rows[0])
         self.config = _native(self.config)
         self.rows = [_native(r) for r in self.rows]
         self.summary = _native(self.summary)

@@ -128,14 +128,6 @@ def verify_witness(instance: SolveInstance, witness: Sequence[int]) -> bool:
     return (instance.a * u + instance.b * v) % p == instance.c
 
 
-def solve_anchored(instance: SolveInstance) -> SolveReport:
-    """Same exact decision as solve, for instances whose last right interval
-    contains 1 (so that interval may stay very short)."""
-    if 1 not in instance.right[-1]:
-        raise DomainError("last right interval must contain 1")
-    return solve(instance)
-
-
 def twelve_interval_instance(
     p: int, a: int, b: int, c: int, base_len: int, eps: float
 ) -> SolveInstance:
@@ -340,15 +332,18 @@ def threshold_scan(p: int, max_len: Optional[int] = None) -> ThresholdResult:
     """Smallest uniform interval length whose full coefficient scan is 100%
     solvable, with the whole solvable-fraction curve up to that point.
 
-    No monotonicity is assumed: lengths ascend from 1 and the first fully
-    solvable one wins. Length p-1 always succeeds for p >= 3 (for p = 2 no
-    length works and minimal_len is None).
+    Lengths ascend from 1 and the first fully solvable one wins. The curve is
+    monotone: {1..n} is a subset of {1..n+1}, so the left and right products
+    nest, L_n within L_{n+1} and R_n within R_{n+1}, and every (b, c) with c
+    in L_n + b*R_n stays solvable at n+1; the solvable count never drops.
+    Length p-1 always succeeds for p >= 3 (for p = 2 no length works and
+    minimal_len is None).
     """
     if not is_prime(p):
         raise DomainError("modulus must be prime")
-    if max_len is None:
-        max_len = p - 1
-    max_len = min(max_len, p - 1)
+    max_len = p - 1 if max_len is None else min(max_len, p - 1)
+    if max_len < 1:
+        raise DomainError("max_len must be >= 1")
     curve = []
     minimal = None
     for n in range(1, max_len + 1):

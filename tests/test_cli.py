@@ -2,7 +2,9 @@ import csv
 import hashlib
 import io
 import json
+import shlex
 from math import prod
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -185,6 +187,62 @@ class TestCharsumCommand:
         assert calls == [1008, 1012]
 
 
+_ANCHORED = "3:4,7:4,1:5,0:3,20:4,9:4,0:4,2:4,11:3,5:4,30:3,4:4,0:2"
+
+
+class TestReportBytesPinned:
+    # Exit code and SHA-256 of the json and csv bodies, recorded from the CLI
+    # as it was when every command listed its columns and wrote its own
+    # report; charsum is pinned by TestCharsumCommand.test_report_bytes_pinned.
+    @pytest.mark.parametrize(
+        "args,code,json_digest,csv_digest",
+        [
+            (["solve", "--p", "13", "--a", "1", "--b", "1", "--c", "5", "--len", "2"], 0,
+             "d85c4a717347dd5e67b43991822372a982246129708dbd4e83d300945f621870",
+             "90dfb85e34b28b30d12bef24ce0e538a328bffeb7ceff46160cf1475c01fbef3"),
+            (["solve", "--p", "5", "--a", "1", "--b", "1", "--c", "3", "--len", "1"], 3,
+             "496d16a4eb42399b2836cafc558ee6d765c877165174a0df519da4dd9b1e40ce",
+             "c7973d9557746762cb9af7f648682cc9b9fc7268c3121656185f0f39db0dc81c"),
+            (["solve", "--p", "101", "--a", "3", "--b", "5", "--c", "7",
+              "--intervals", _ANCHORED, "--anchored"], 0,
+             "f100d658c8c61c3770112581eb8fee1f01eea92881ca31af0dc316be92316f5a",
+             "add48f0487ceaf8c2ecc860e4444256b645344aa223b3d058b7ded997381656a"),
+            (["scan", "--p", "31,37", "--len-min", "1", "--len-max", "3"], 0,
+             "306cf2ff1418692e58fffc8ba789cd570ae5ef2f84c2ed1224971cbafdbf1db3",
+             "86db931312c94fa8b1976ab3536e21cb7953cbcb7bd3bdeb02a75ff769201ef6"),
+            (["threshold", "--p", "31"], 0,
+             "a8acdd4850f9551c8d56f628234f26cddea804efb14c00db849672ba9a8ee11d",
+             "5fa2edf0dbafbd6b359307736927c4c8693a6337024dc9dd94ca944a88787b5f"),
+            (["growth", "--m-min", "100", "--m-max", "120", "--c", "0.5"], 0,
+             "1b759c7542eff67581d461d0d56502c2627b86d414394cd997ee7728cdc4b2bb",
+             "3ee731f755515ff85fbe03ac2452664390084e72fea9fb9d42f7d7ab99279e50"),
+            (["smooth", "--m", "1000", "--c0", "0.5", "--check-greedy"], 0,
+             "d54733b60184d5a35700f33f4a8ab41963bcb16e7e0c8b926b4dbd622e7fb125",
+             "73b6699a7163b81484d9ff7fe2d7d5d0ad9ebdf974874805a8ab8c337cb64325"),
+            (["coverage", "--p", "23", "--random", "30", "--seed", "4"], 0,
+             "0afdc60ff98db4c956d17bda5d080c0a52de8fc32691c8375da296d9ec2fe9c6",
+             "39becb6a236532a7d086b83f04d41af6556f6ddf5d9da51b4f07a3355725be3e"),
+            (["represent", "--m", "7", "--target", "1", "--cutoff", "2"], 0,
+             "1fa1b2a6e76e990711bf14658d9dbe9b967c0ed010540b8770be008b39f13aa3",
+             "59503b3b63d2056d21612634451026310e24aea1f1b8ae011ba292b5682f7310"),
+            (["represent", "--m", "101", "--target", "5", "--c", "0.3"], 0,
+             "50ba5d9e299a8315645a367f775695a9c8baa27e57f5626f50cf10449807647a",
+             "c285549b9d0dc86f08790eb67fe9e6550cdb6a52f216e72964fe7f05449c6cba"),
+            (["represent", "--m", "7", "--target", "3", "--cutoff", "2"], 3,
+             "f41df7cfac28b8d18a73b362b65c6e361353998b700c807d40ce6a2bd1bca2a2",
+             "c29dc84e85a765fa28d8320123262cd17e5910752ac4c613c34a43e1e1df68e0"),
+            (["olson-suite", "--count", "30", "--m-max", "300", "--seed", "11"], 0,
+             "4c7d90d47ad07b35aa9e1929ff821a85e8012d308af0531dd95d66187b46618b",
+             "0bdbd4d152ba04d5cb3ea381e00a9ecc88e198c949ae919e28df0f0ebf8f92a2"),
+        ],
+    )
+    def test_report_bytes_pinned(self, capsys, args, code, json_digest, csv_digest):
+        for fmt, digest in (("json", json_digest), ("csv", csv_digest)):
+            got, out, _ = run(capsys, args + ["--format", fmt])
+            assert got == code
+            assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 class TestSmoothCommand:
     def test_check_greedy_all_valid(self, capsys):
         code, doc, _ = run_json(
@@ -227,6 +285,12 @@ class TestRepresentCommand:
         assert code == 2
         assert "degenerate" in err
 
+    @pytest.mark.parametrize("m", ["0", "1"])
+    def test_modulus_below_two_exit_two(self, capsys, m):
+        code, out, err = run(capsys, ["represent", "--m", m, "--target", "1", "--cutoff", "2"])
+        assert (code, out) == (2, "")
+        assert "m must be >= 2" in err
+
 
 class TestOlsonSuiteCommand:
     def test_no_violations(self, capsys):
@@ -258,6 +322,20 @@ class TestDeterminism:
         assert main(["scan", "--p", "5"]) == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["scan", "--p", "31", "--len-min", "3", "--len-max", "1"],
+            ["growth", "--m-min", "10", "--m-max", "5", "--cutoff", "2"],
+            ["threshold", "--p", "31", "--max-len", "0"],
+            ["olson-suite", "--count", "0"],
+        ],
+    )
+    def test_empty_range_exit_two(self, capsys, args):
+        code, out, err = run(capsys, args)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ")
+
     def test_shared_parser_matches_fresh_parsers(self, capsys, monkeypatch):
         sequence = [
             ["solve", "--p", "13", "--a", "1", "--b", "1", "--c", "5", "--len", "2"],
@@ -288,3 +366,17 @@ class TestResourceCaps:
         code, _, err = run(capsys, ["smooth", "--m", "2000", "--c0", "0.5"])
         assert code == 4
         assert "cap" in err
+
+
+class TestReadme:
+    def test_cli_examples_run(self, capsys):
+        # every `prodcong ...` line of the README's CLI block, comments stripped
+        text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = text.split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+        lines = [line for line in block.splitlines() if line.startswith("prodcong ")]
+        assert len(lines) == 10
+        for line in lines:
+            argv = shlex.split(line, comments=True)[1:]
+            code, out, err = run(capsys, argv)
+            assert (code, err) == (0, ""), line
+            assert json.loads(out)["command"] == argv[0]

@@ -81,3 +81,15 @@ class TestWrite:
         rep = make_report()
         rep.write(str(target), "json")
         assert target.read_text(encoding="utf-8") == rep.to_json()
+
+
+class TestColumns:
+    def test_default_is_first_row_keys(self):
+        rep = Report(command="demo", config={}, rows=[{"z": 1, "a": 2}], summary={})
+        assert rep.columns == ["z", "a"]
+        assert rep.to_csv() == "z,a\n1,2\n"
+
+    def test_report_without_rows_names_its_columns(self):
+        assert Report(command="demo", config={}, rows=[], summary={}, columns=["a"]).to_csv() == "a\n"
+        with pytest.raises(ValueError, match="columns"):
+            Report(command="demo", config={}, rows=[], summary={})

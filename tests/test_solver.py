@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 import prodcong.solver
 from prodcong.arith import primes_in_range
+from prodcong.cli import main
 from prodcong.errors import DomainError
 from prodcong.residues import Interval
 from prodcong.rng import stream
@@ -16,7 +17,6 @@ from prodcong.solver import (
     SolveInstance,
     abc_scan,
     solve,
-    solve_anchored,
     threshold_scan,
     twelve_interval_instance,
     verify_witness,
@@ -372,27 +372,45 @@ class TestThresholdScan:
         for p in (3, 5, 7, 11):
             assert abc_scan(p, [p - 1] * 13).fraction == 1.0
 
+    def test_solvable_count_nondecreasing(self):
+        # nested intervals nest L_n and R_n, so the count never drops: checked
+        # on the threshold curve and on every length after it, up to p - 1
+        for p in primes_in_range(2, 59):
+            curve = threshold_scan(p).curve
+            counts = [row.solvable for row in curve]
+            counts += [abc_scan(p, [n] * 13).solvable for n in range(len(curve) + 1, p)]
+            assert len(counts) == p - 1
+            assert counts == sorted(counts)
+
+    def test_empty_curve_rejected(self):
+        with pytest.raises(DomainError, match="max_len"):
+            threshold_scan(7, max_len=0)
+
 
 class TestAnchoredVariant:
     def test_singleton_tail_reduces(self):
+        # the tail {1} contributes the factor 1, so the decision is the
+        # 12-interval one, which the enumeration below makes directly
         inst = instance(13, 1, 1, 5, [2] * 6, [1] * 7)
-        assert solve_anchored(inst).solvable == solve(inst).solvable
+        assert solve(inst).solvable == (naive_solve(inst) is not None)
 
     def test_superset_tail_still_solvable(self):
         inst = instance(13, 1, 1, 5, [2] * 6, [1] * 6 + [2])
-        report = solve_anchored(inst)
+        report = solve(inst)
         assert report.solvable
         assert verify_witness(inst, report.witness)
 
-    def test_tail_without_one_rejected(self):
-        inst = instance(13, 1, 1, 5, [2] * 6, [1] * 6 + [2], right_offsets=[0] * 6 + [1])
-        with pytest.raises(DomainError, match="contain 1"):
-            solve_anchored(inst)
+    def test_tail_without_one_rejected(self, capsys):
+        specs = ",".join(["0:2"] * 6 + ["0:1"] * 6 + ["1:2"])
+        argv = ["solve", "--p", "13", "--a", "1", "--b", "1", "--c", "5", "--intervals", specs]
+        assert main(argv + ["--anchored"]) == 2
+        assert "contain 1" in capsys.readouterr().err
+        assert main(argv) == 0  # the same instance without --anchored is decided
 
     def test_twelve_interval_preset(self):
         inst = twelve_interval_instance(101, 3, 5, 7, base_len=9, eps=0.4)
         assert 1 in inst.right[-1]
         assert len(inst.right[-2]) >= len(inst.right[-1])
-        report = solve_anchored(inst)
+        report = solve(inst)
         assert report.solvable
         assert verify_witness(inst, report.witness)
