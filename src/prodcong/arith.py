@@ -11,7 +11,7 @@ import os
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, isqrt
+from math import gcd, isfinite, isqrt, log2
 
 import numpy as np
 
@@ -210,37 +210,48 @@ def build_field_context(p: int) -> FieldContext:
     return _field_context(p)
 
 
-@lru_cache(maxsize=65536)
-def floor_power(base: int, exponent: float) -> int:
-    """Largest integer t with t <= base**exponent.
+# Largest power base**n, in bits, that floor_power and ceil_power will form.
+MAX_POWER_BITS = 1 << 22
 
-    Float powering decides; when the exponent is exactly a small dyadic
-    rational (1/2, 1/4, ...) the boundary is re-verified by integer powering,
-    so cutoffs like base**0.5 are never off by one.
-    """
-    if base < 1:
-        raise DomainError("floor_power requires base >= 1")
-    if exponent < 0:
-        raise DomainError("floor_power requires exponent >= 0")
-    t = int(base**exponent)
-    fr = Fraction(exponent)
-    if fr.denominator <= 16:
-        num, den = fr.numerator, fr.denominator
-        ref = base**num
-        while (t + 1) ** den <= ref:
-            t += 1
-        while t > 0 and t**den > ref:
-            t -= 1
+
+def _iroot(n: int, k: int) -> int:
+    """Largest t with t**k <= n (n, k >= 1): integer Newton steps from a float
+    seed at or above the root never drop below it (AM-GM), and stop there."""
+    if n.bit_length() <= k:  # n < 2**k
+        return 1
+    shift = max(0, n.bit_length() // k - 30)
+    t = (int(2 ** (log2(n >> shift * k) / k)) + 2) << shift
+    while (u := ((k - 1) * t + n // t ** (k - 1)) // k) < t:
+        t = u
     return t
 
 
-@lru_cache(maxsize=65536)
-def ceil_power(base: int, exponent: float) -> int:
+def _power(base: int, exponent) -> tuple[int, int]:
+    """(base**n, k) for the exponent read as n/k: an int or Fraction as given,
+    a float as its shortest decimal (0.3 is 3/10, so c/2 stays exact)."""
+    if base < 1:
+        raise DomainError("floor_power requires base >= 1")
+    if isinstance(exponent, float) and not isfinite(exponent):
+        raise DomainError("exponent must be finite")
+    fr = Fraction(repr(float(exponent)) if isinstance(exponent, float) else exponent)
+    if fr < 0:
+        raise DomainError("floor_power requires exponent >= 0")
+    bits = fr.numerator * base.bit_length()
+    if bits > MAX_POWER_BITS:
+        raise ResourceError(f"{base}**({fr}) needs {bits} bits, over the {MAX_POWER_BITS}-bit cap")
+    return base**fr.numerator, fr.denominator
+
+
+@lru_cache(maxsize=65536, typed=True)  # 0.3 and its binary Fraction are equal keys
+def floor_power(base: int, exponent) -> int:
+    """Largest integer t with t <= base**exponent, decided exactly by
+    t**k <= base**n < (t+1)**k for the exponent n/k (see _power)."""
+    return _iroot(*_power(base, exponent))
+
+
+@lru_cache(maxsize=65536, typed=True)
+def ceil_power(base: int, exponent) -> int:
     """Smallest integer t with t >= base**exponent (see floor_power)."""
+    n, k = _power(base, exponent)
     f = floor_power(base, exponent)
-    fr = Fraction(exponent)
-    if fr.denominator <= 16:
-        exact = f ** fr.denominator == base**fr.numerator
-    else:
-        exact = float(f) == base**exponent
-    return f if exact else f + 1
+    return f + (f**k != n)

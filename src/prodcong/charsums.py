@@ -89,6 +89,16 @@ def char_sum(ctx: FieldContext, j: int, values: Values) -> complex:
     return complex(roots[(j * ctx.dlog[members]) % (p - 1)].sum())
 
 
+def _sum_of_squares(counts: np.ndarray) -> int:
+    """Exact sum of squared multiplicities, in int64 while it cannot overflow."""
+    nz = counts[counts > 0]
+    if nz.size == 0:
+        return 0
+    if int(nz.max()) ** 2 * nz.size < 2**62:
+        return int(np.dot(nz, nz))
+    return sum(int(v) ** 2 for v in nz)
+
+
 def product_energy(x_values: Values, y_values: Values, p: int) -> int:
     """Exact count of quadruples with x1*y1 == x2*y2 (mod p): the sum of
     squared multiplicities of the product multiset."""
@@ -100,12 +110,7 @@ def product_energy(x_values: Values, y_values: Values, p: int) -> int:
     for v in xm.tolist():
         # x fixed: products x*y are pairwise distinct, so plain fancy add is exact
         counts[(v * ym) % p] += 1
-    nz = counts[counts > 0]
-    if nz.size == 0:
-        return 0
-    if int(nz.max()) ** 2 * nz.size < 2**62:
-        return int(np.dot(nz, nz))
-    return sum(int(v) ** 2 for v in nz)
+    return _sum_of_squares(counts)
 
 
 def product_energy_via_characters(
@@ -147,10 +152,7 @@ def multiplicative_energy(limit: int, n0: int, p: int) -> int:
             # y is a unit, so y*residues is a permutation: scatter-add is exact
             nxt[(y * residues) % p] += hist
         hist = nxt
-    nz = hist[hist > 0]
-    if int(nz.max()) ** 2 * nz.size < 2**62:
-        return int(np.dot(nz, nz))
-    return sum(int(v) ** 2 for v in nz)
+    return _sum_of_squares(hist)
 
 
 class BoundCheck(NamedTuple):

@@ -73,7 +73,7 @@ def cmd_solve(args) -> tuple[Report, int]:
     p = _parse_prime(args.p)
     if args.intervals:
         intervals = _parse_intervals(args.intervals, p)
-    elif args.len:
+    elif args.len is not None:
         intervals = [Interval(0, args.len, p) for _ in range(13)]
     else:
         raise DomainError("give --intervals or --len")
@@ -277,15 +277,15 @@ def cmd_smooth(args) -> tuple[Report, int]:
     return report, EXIT_NEGATIVE if failures else EXIT_OK
 
 
-def coverage_trials(p: int, count: int, seed: int):
-    """Seeded quadruples of unit subsets with |A||B||C||D| > p^3, plus their
-    coverage results. Shared by the CLI and the acceptance harness."""
-    _parse_prime(p)
-    if count < 1:
+def cmd_coverage(args) -> tuple[Report, int]:
+    p = _parse_prime(args.p)
+    if args.random < 1:
         raise DomainError("count must be >= 1")
-    gen = stream(seed, f"coverage-p{p}")
+    gen = stream(args.seed, f"coverage-p{p}")
     units = np.arange(1, p)
-    for trial in range(count):
+    rows = []
+    counterexamples = 0
+    for trial in range(args.random):
         while True:
             sizes = [int(s) for s in gen.integers(1, p, size=4)]
             if sizes[0] * sizes[1] * sizes[2] * sizes[3] > p**3:
@@ -294,13 +294,7 @@ def coverage_trials(p: int, count: int, seed: int):
             ResidueSet.from_members(p, gen.choice(units, size=s, replace=False))
             for s in sizes
         ]
-        yield trial, sizes, coverage_check(*sets, p)
-
-
-def cmd_coverage(args) -> tuple[Report, int]:
-    rows = []
-    counterexamples = 0
-    for trial, sizes, res in coverage_trials(args.p, args.random, args.seed):
+        res = coverage_check(*sets, p)
         if res.hypothesis_met and not res.covers:
             counterexamples += 1
         rows.append(
@@ -317,7 +311,7 @@ def cmd_coverage(args) -> tuple[Report, int]:
         )
     report = Report(
         command="coverage",
-        config={"p": args.p, "random": args.random, "seed": args.seed},
+        config={"p": p, "random": args.random, "seed": args.seed},
         rows=rows,
         summary={"trials": len(rows), "counterexamples": counterexamples},
     )

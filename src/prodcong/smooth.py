@@ -5,12 +5,13 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import ceil, prod
 from typing import Optional
 
 import numpy as np
 
-from .arith import ceil_power, euler_phi, floor_power
+from .arith import ceil_power, euler_phi, floor_power, primes_in_range
 from .errors import DomainError, ResourceError
 
 SIEVE_CAP_ENV = "PRODCONG_SIEVE_CAP"
@@ -45,28 +46,24 @@ class SmoothTable:
             n //= q
         return out
 
-    def psi(self, x: int, y: float) -> int:
-        """Count of y-smooth n <= x (n = 1 is smooth for every y)."""
+    def _smooth_mask(self, x: int, y: float) -> np.ndarray:
+        """Mask over 1..x of the y-smooth integers (n = 1 is smooth for every y)."""
         if x < 0 or x > self.x_max:
             raise DomainError(f"x={x} beyond table (x_max={self.x_max})")
-        if x == 0:
-            return 0
         smooth = self.lpf[1 : x + 1] <= y
-        smooth[0] = True  # n = 1 has no prime factor at all
-        return int(smooth.sum())
+        smooth[:1] = True  # n = 1 has no prime factor at all
+        return smooth
+
+    def psi(self, x: int, y: float) -> int:
+        """Count of y-smooth n <= x."""
+        return int(self._smooth_mask(x, y).sum())
 
     def psi_q(self, x: int, y: float, q: int) -> int:
         """Count of y-smooth n <= x with gcd(n, q) = 1."""
         if q < 1:
             raise DomainError("q must be >= 1")
-        if x < 0 or x > self.x_max:
-            raise DomainError(f"x={x} beyond table (x_max={self.x_max})")
-        if x == 0:
-            return 0
-        smooth = self.lpf[1 : x + 1] <= y
-        smooth[0] = True
-        coprime = np.gcd(np.arange(1, x + 1, dtype=np.int64), q) == 1
-        return int((smooth & coprime).sum())
+        # the mask comes first, so an x beyond the table allocates nothing
+        return int((self._smooth_mask(x, y) & (np.gcd(np.arange(1, x + 1), q) == 1)).sum())
 
     def unit_smooth_density(self, m: int, y: float) -> Fraction:
         """Measured share of units mod m that are y-smooth: psi_q(m, y, m) / phi(m)."""
@@ -82,9 +79,8 @@ def build_smooth_table(x_max: int) -> SmoothTable:
         )
     lpf = np.zeros(x_max + 1, dtype=np.int64)
     lpf[1:2] = 1
-    for i in range(2, x_max + 1):
-        if lpf[i] == 0:  # prime: overwrite every multiple, largest prime wins
-            lpf[i::i] = i
+    for q in primes_in_range(2, x_max):  # ascending, so the largest prime wins
+        lpf[q::q] = q
     lpf.setflags(write=False)
     return SmoothTable(x_max, lpf)
 
@@ -99,6 +95,13 @@ def _shared(n: int) -> SmoothTable:
     return _shared_table
 
 
+@lru_cache(maxsize=4096, typed=True)
+def _bounds(m: int, c0: float, c: float) -> tuple[int, int, int, int]:
+    """floor(m**c0), floor(m**c), ceil(m**(c/2)) and ceil(2/c0) + 1: the smooth
+    bound, the part cap, the least part after the first, and the most parts."""
+    return floor_power(m, c0), floor_power(m, c), ceil_power(m, c / 2), ceil(2 / c0) + 1
+
+
 @dataclass(frozen=True)
 class SmoothFactorization:
     """A smooth integer split as x = x_1 * ... * x_k with x_1 <= m**c and
@@ -111,8 +114,7 @@ class SmoothFactorization:
     parts: tuple[int, ...]
 
     def __post_init__(self):
-        cap = floor_power(self.m, self.c)
-        lo = ceil_power(self.m, self.c / 2)
+        _, cap, lo, max_parts = _bounds(self.m, self.c0, self.c)
         if prod(self.parts) != self.x:
             raise DomainError("parts do not multiply back to x")
         if not self.parts or self.parts[0] > cap:
@@ -120,7 +122,7 @@ class SmoothFactorization:
         for part in self.parts[1:]:
             if not lo <= part <= cap:
                 raise DomainError(f"part {part} outside [m**(c/2), m**c]")
-        if len(self.parts) > ceil(2 / self.c0) + 1:
+        if len(self.parts) > max_parts:
             raise DomainError("too many parts")
 
     @property
@@ -134,10 +136,10 @@ def greedy_factor(
     """Split an m**c0-smooth x <= m coprime to m into bounded parts.
 
     Greedy rule (fixed for determinism): list x's prime factors with
-    multiplicity in descending order; repeatedly open a new part and multiply
-    in successive primes while the part stays <= m**c; afterwards merge any
-    two parts both below m**(c/2) (their product stays under the cap) until at
-    most one small part remains, and place that unique small part first.
+    multiplicity in descending order, and multiply successive primes into the
+    current part while it stays <= m**c, else close it and open the next. A
+    part closes only when cur*q > m**c with q <= cur, so cur > m**(c/2): only
+    the last part can be small, and it is placed first.
     """
     if x < 1:
         raise DomainError("x must be >= 1")
@@ -149,28 +151,19 @@ def greedy_factor(
         raise DomainError("x must be at most m")
     if x == 1:
         return SmoothFactorization(1, m, c0, c, (1,))
-    smooth_bound = floor_power(m, c0)
+    smooth_bound, cap, lo, _ = _bounds(m, c0, c)
     if smooth_bound < 2:
         raise DomainError("m**c0 < 2: no primes available")
     primes = (table or _shared(x)).factor_desc(x)
     if primes[0] > smooth_bound:
         raise DomainError(f"x={x} is not m**c0-smooth (lpf {primes[0]} > {smooth_bound})")
 
-    cap = floor_power(m, c)
-    lo = ceil_power(m, c / 2)
     parts: list[int] = []
     cur = 1
     for q in primes:
-        if cur > 1 and cur * q > cap:
+        if cur * q > cap:  # q <= smooth_bound <= cap, so cur > 1 here
             parts.append(cur)
             cur = q
         else:
             cur *= q
-    parts.append(cur)
-
-    small = [part for part in parts if part < lo]
-    big = [part for part in parts if part >= lo]
-    while len(small) >= 2:  # provably dead (only the final part can be small)
-        merged = small.pop() * small.pop()
-        (big if merged >= lo else small).append(merged)
-    return SmoothFactorization(x, m, c0, c, tuple(small + big))
+    return SmoothFactorization(x, m, c0, c, (cur, *parts) if cur < lo else (*parts, cur))

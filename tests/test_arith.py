@@ -1,6 +1,7 @@
 import gc
 import tracemalloc
 import weakref
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -215,10 +216,62 @@ class TestPowers:
         assert floor_power(10**4, 0.25) == 10
         assert ceil_power(10**4, 0.25) == 10
 
-    @given(st.integers(min_value=1, max_value=10**9), st.sampled_from([0.25, 0.5, 0.75]))
-    def test_floor_ceil_sandwich_exact(self, base, exponent):
-        f = floor_power(base, exponent)
-        c = ceil_power(base, exponent)
-        num, den = {0.25: (1, 4), 0.5: (1, 2), 0.75: (3, 4)}[exponent]
-        assert f**den <= base**num < (f + 1) ** den
-        assert c == f + (0 if f**den == base**num else 1)
+    def test_non_dyadic_pins(self):
+        assert floor_power(1024, 0.3) == 8
+        assert floor_power(64, Fraction(1, 3)) == 4
+        assert floor_power(1000, Fraction(1, 3)) == 10
+        assert ceil_power(3125, 0.2) == 5
+        assert ceil_power(7776, 0.2) == 6
+
+    def test_float_means_its_shortest_decimal(self):
+        assert floor_power(10**6, 0.3) == floor_power(10**6, Fraction(3, 10)) == 63
+        assert ceil_power(2**20, 0.3 / 2) == ceil_power(2**20, Fraction(3, 20)) == 8
+        assert floor_power(5, 0) == ceil_power(5, 0) == 1
+        assert floor_power(7, 2) == ceil_power(7, 2) == 49
+        # the float 0.3 and its binary value compare and hash equal, but the
+        # binary value is 5404319552844595/2**54, whose power is refused
+        with pytest.raises(ResourceError):
+            floor_power(1024, Fraction(0.3))
+        with pytest.raises(ResourceError):
+            ceil_power(1024, Fraction(0.3))
+
+    def test_rejects_bad_exponents(self):
+        for bad in (-0.5, Fraction(-1, 3), float("inf"), float("nan")):
+            with pytest.raises(DomainError):
+                floor_power(10, bad)
+        with pytest.raises(DomainError):
+            ceil_power(0, 0.5)
+
+    def test_size_refused_before_allocating(self):
+        # 123456789/10**9 would need 1000**123456789, about 150 MB
+        tracemalloc.start()
+        try:
+            for exponent in (0.123456789, Fraction(123456789, 10**9)):
+                with pytest.raises(ResourceError, match="cap"):
+                    floor_power(1000, exponent)
+                with pytest.raises(ResourceError, match="cap"):
+                    ceil_power(1000, exponent)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_tiny_exponent_needs_no_large_power(self):
+        # 1e-09 is 1/10**9: 2**(10**9) > 1000 settles the root without forming it
+        assert floor_power(1000, 1e-09) == 1
+        assert ceil_power(1000, 1e-09) == 2
+
+    @given(
+        st.integers(min_value=1, max_value=10**9),
+        st.integers(min_value=1, max_value=4),
+        st.data(),
+    )
+    def test_floor_ceil_sandwich_exact(self, base, places, data):
+        # a decimal with at most four places, passed as the float it names
+        num = data.draw(st.integers(min_value=0, max_value=2 * 10**places - 1))
+        exact = Fraction(num, 10**places)
+        f = floor_power(base, float(exact))
+        c = ceil_power(base, float(exact))
+        n, k = exact.numerator, exact.denominator
+        assert f**k <= base**n < (f + 1) ** k
+        assert c == f + (0 if f**k == base**n else 1)

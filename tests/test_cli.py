@@ -65,6 +65,13 @@ class TestSolveCommand:
         )
         assert code == 2
 
+    def test_zero_len_reaches_the_interval_check(self, capsys):
+        code, _, err = run(
+            capsys, ["solve", "--p", "13", "--a", "1", "--b", "1", "--c", "2", "--len", "0"]
+        )
+        assert code == 2
+        assert "interval length must satisfy 1 <= N <= m" in err
+
     def test_witness_verifies(self, capsys):
         code, doc, _ = run_json(
             capsys, ["solve", "--p", "13", "--a", "1", "--b", "1", "--c", "5", "--len", "2"]
@@ -255,6 +262,12 @@ class TestSmoothCommand:
         assert row["greedy_checked"] == row["psi_coprime"]
         assert row["delta_hat"] > 0
 
+    def test_smooth_bound_is_exact_at_a_perfect_power(self, capsys):
+        # 1024**0.3 = 2**3 exactly; float powering gave 7
+        code, doc, _ = run_json(capsys, ["smooth", "--m", "1024", "--c0", "0.3"])
+        assert code == 0
+        assert doc["rows"][0]["smooth_bound"] == 8
+
 
 class TestCoverageCommand:
     def test_no_counterexamples(self, capsys):
@@ -365,6 +378,12 @@ class TestResourceCaps:
         monkeypatch.setenv("PRODCONG_SIEVE_CAP", "1000")
         code, _, err = run(capsys, ["smooth", "--m", "2000", "--c0", "0.5"])
         assert code == 4
+        assert "cap" in err
+
+    def test_overlong_exponent_exit_four(self, capsys):
+        # 0.123456789 means 123456789/10**9: 1000**123456789 is refused, not formed
+        code, out, err = run(capsys, ["growth", "--m", "1000", "--c", "0.123456789"])
+        assert (code, out) == (4, "")
         assert "cap" in err
 
 

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from prodcong.arith import ceil_power, euler_phi, floor_power
 from prodcong.errors import DomainError, ResourceError
 from prodcong.smooth import SmoothFactorization, build_smooth_table, greedy_factor
+from reference_smooth import greedy_parts_reference
 
 
 def trial_lpf(n: int) -> int:
@@ -144,6 +145,25 @@ class TestGreedyFactor:
         assert fac.parts[0] <= cap
         assert all(lo <= part <= cap for part in fac.parts[1:])
         assert fac.k <= int(np.ceil(2 / c0)) + 1
+
+    @pytest.mark.parametrize("c0, c", [(0.3, 0.3), (0.4, 0.4), (0.5, 0.5), (0.3, 0.55)])
+    def test_matches_merge_loop_reference(self, table, c0, c):
+        # parts depend on m only through floor(m**c0), floor(m**c) and
+        # ceil(m**(c/2)); for each triple met at m <= 3000, every smooth x up to
+        # the largest such m covers every eligible (m, x) with that triple
+        largest = {}
+        for m in range(2, 3001):
+            bounds = (floor_power(m, c0), floor_power(m, c), ceil_power(m, c / 2))
+            if bounds[0] >= 2:
+                largest[bounds] = m
+        checked = 0
+        for (bound, _, _), m in largest.items():
+            for x in np.flatnonzero(table.lpf[1 : m + 1] <= bound).tolist():
+                x += 1
+                fac = greedy_factor(x, m, c0, c, table=table)
+                assert fac.parts == greedy_parts_reference(table.factor_desc(x), m, c), (x, m)
+                checked += 1
+        assert checked > 1000
 
     def test_deterministic(self, table):
         a = greedy_factor(7560, 10**4, 0.5, 0.5, table=table)
