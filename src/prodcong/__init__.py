@@ -46,7 +46,6 @@ from .growth import (
     build_generator_set,
     is_subgroup,
     least_power_nonresidue,
-    nth_power_set,
     olson_bound_check,
     power_residue_index,
     power_set_sequence,
@@ -58,7 +57,6 @@ from .residues import (
     Interval,
     ResidueSet,
     TripleProductStats,
-    WitnessedSet,
     coverage_check,
     iterated_interval_product,
     product_set,

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from math import e as _E
 from typing import Iterable, NamedTuple, Union
 
@@ -19,18 +18,9 @@ import numpy as np
 
 from .arith import FieldContext, is_prime
 from .errors import DomainError, ResourceError
-from .residues import Interval, ResidueSet, WitnessedSet, product_set
+from .residues import Interval, ResidueSet, product_set
 
-Values = Union[Interval, ResidueSet, WitnessedSet, Iterable[int]]
-
-
-# Each table holds p-1 complex128 roots (16 MB near p = 10**6), and callers
-# work through one prime at a time, so only the last two are kept.
-@lru_cache(maxsize=2)
-def _unit_roots(order: int) -> np.ndarray:
-    roots = np.exp(2j * np.pi * np.arange(order) / order)
-    roots.setflags(write=False)
-    return roots
+Values = Union[Interval, ResidueSet, Iterable[int]]
 
 
 # One spectrum holds p-1 float64 magnitudes (8 MB near p = 10**6). A charsum
@@ -57,8 +47,6 @@ def _dlog_spectrum(ctx: FieldContext, members: np.ndarray) -> np.ndarray:
 
 def _unit_members(values: Values, p: int) -> np.ndarray:
     """Normalize a set-like argument to a sorted array of units in 1..p-1."""
-    if isinstance(values, WitnessedSet):
-        values = values.base
     if isinstance(values, ResidueSet):
         if values.modulus != p:
             raise DomainError("modulus mismatch")
@@ -85,8 +73,8 @@ def char_sum(ctx: FieldContext, j: int, values: Values) -> complex:
     members = _unit_members(values, p)
     if members.size == 0:
         return 0j
-    roots = _unit_roots(p - 1)
-    return complex(roots[(j * ctx.dlog[members]) % (p - 1)].sum())
+    k = (j * ctx.dlog[members]) % (p - 1)
+    return complex(np.exp(2j * np.pi * k / (p - 1)).sum())
 
 
 def _sum_of_squares(counts: np.ndarray) -> int:

@@ -280,7 +280,7 @@ def cmd_smooth(args) -> tuple[Report, int]:
 def cmd_coverage(args) -> tuple[Report, int]:
     p = _parse_prime(args.p)
     if args.random < 1:
-        raise DomainError("count must be >= 1")
+        raise DomainError("--random must be >= 1")
     gen = stream(args.seed, f"coverage-p{p}")
     units = np.arange(1, p)
     rows = []

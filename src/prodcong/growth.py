@@ -19,7 +19,7 @@ import numpy as np
 from .arith import euler_phi, floor_power, is_prime
 from .charsums import nonresidue_cap
 from .errors import DomainError, NotRepresentableError, ResourceError
-from .residues import ResidueSet, WitnessedSet, _pairwise_mask, _WitnessView, product_set
+from .residues import ResidueSet, _pairwise_mask, product_set
 
 DEFAULT_N_MAX = 64
 
@@ -31,14 +31,14 @@ class GeneratorSet:
     modulus: int
     c: Optional[float]
     cutoff: int
-    base: WitnessedSet
+    base: ResidueSet
 
 
 def build_generator_set(
     m: int, c: Optional[float] = None, *, cutoff: Optional[int] = None
 ) -> GeneratorSet:
     """Build {x mod m : 1 <= x <= cutoff, gcd(x, m) = 1}; the cutoff is
-    floor(m**c) when an exponent is given. Witnesses are the singletons."""
+    floor(m**c) when an exponent is given."""
     if m < 2:
         raise DomainError("m must be >= 2")
     if (c is None) == (cutoff is None):
@@ -50,9 +50,7 @@ def build_generator_set(
     if cutoff < 1:
         raise DomainError("cutoff must be >= 1")
     xs = [x for x in range(1, min(cutoff, m) + 1) if gcd(x, m) == 1]
-    members = ResidueSet.from_members(m, xs)
-    base = WitnessedSet(members, _WitnessView(members, lambda x: (x,)))
-    return GeneratorSet(m, c, cutoff, base)
+    return GeneratorSet(m, c, cutoff, ResidueSet.from_members(m, xs))
 
 
 def is_subgroup(s: ResidueSet) -> bool:
@@ -142,15 +140,42 @@ class GrowthReport:
     phi: int
     cards: list[int]
     n_stab: Optional[int]
-    is_subgroup_at_stab: bool
     subgroup_order: int
     ell: Optional[int]
     density: float
-    stable: WitnessedSet
+    stable: ResidueSet
 
     @property
     def stabilized(self) -> bool:
         return self.n_stab is not None
+
+    def represent(self, target: int) -> Representation:
+        """A verified product of units <= cutoff congruent to the target,
+        from the witnessed stabilized chain, padded with 1s to the
+        stabilization length.
+
+        The target is reachable iff it lies in the stabilized subgroup; for a
+        prime modulus that is iff it is an ell-th power residue, and
+        NotRepresentableError carries ell.
+        """
+        if not self.stabilized:
+            raise DomainError("chain did not stabilize")
+        if self.stable.witness is None:
+            raise DomainError("report must carry witnesses")
+        m = self.modulus
+        target %= m
+        if target not in self.stable:
+            why = "not in the stabilized subgroup"
+            if self.ell is not None:
+                why = f"not an ell-th power residue, ell={self.ell}"
+            raise NotRepresentableError(
+                f"{target} is not representable at cutoff {self.cutoff} mod {m} ({why})",
+                ell=self.ell,
+            )
+        witness = self.stable.witness[target]
+        out = Representation(m, target, self.cutoff, witness + (1,) * (self.n_stab - len(witness)))
+        out.verify()
+        return out
 
 
 def power_set_sequence(
@@ -167,21 +192,20 @@ def power_set_sequence(
         raise DomainError("n_max must be >= 1")
     m = gen.modulus
     phi = euler_phi(m)
-    level, cards, n_stab = _chain(m, gen.base.members, n_max)
-    base = ResidueSet(m, level > 0)
-    witness = None
+    gens = gen.base.members
+    level, cards, n_stab = _chain(m, gens, n_max)
+    s = ResidueSet(m, level > 0)
     if with_witness:
-        witness = _WitnessView(base, _level_witness(m, level, gen.base.members))
-    s = WitnessedSet(base, witness)
-    closed = n_stab is not None and product_set(base, gen.base.base) == base
-    if n_stab is not None and not closed:
-        raise AssertionError("stabilized set failed the closure check")
+        s = ResidueSet._witnessed(s, _level_witness(m, level, gens))
     order = s.cardinality
-    if n_stab is not None and phi % order != 0:
-        raise AssertionError("subgroup order does not divide phi(m)")
     ell = None
-    if n_stab is not None and is_prime(m):
-        ell = power_residue_index(base)
+    if n_stab is not None:
+        if product_set(s, gen.base) != s:
+            raise AssertionError("stabilized set failed the closure check")
+        if phi % order != 0:
+            raise AssertionError("subgroup order does not divide phi(m)")
+        if is_prime(m):
+            ell = power_residue_index(s)
     return GrowthReport(
         modulus=m,
         c=gen.c,
@@ -189,20 +213,11 @@ def power_set_sequence(
         phi=phi,
         cards=cards,
         n_stab=n_stab,
-        is_subgroup_at_stab=closed,
         subgroup_order=order,
         ell=ell,
         density=order / phi,
         stable=s,
     )
-
-
-def nth_power_set(gen: GeneratorSet, n: int) -> ResidueSet:
-    """A^n as a plain set (stops early once the chain stabilizes)."""
-    if n < 1:
-        raise DomainError("n must be >= 1")
-    level, _, _ = _chain(gen.modulus, gen.base.members, n)
-    return ResidueSet(gen.modulus, level > 0)
 
 
 class OlsonCheck(NamedTuple):
@@ -237,18 +252,15 @@ def _power_mod(xs: np.ndarray, e: int, m: int) -> np.ndarray:
     return out
 
 
-def power_residue_index(s: ResidueSet, p: Optional[int] = None) -> int:
-    """The index ell with S equal to the ell-th powers mod p; requires S to be
-    a subgroup of the unit group of a prime modulus.
+def power_residue_index(s: ResidueSet) -> int:
+    """The index ell with S equal to the ell-th powers mod p = s.modulus;
+    requires S to be a subgroup of the unit group of a prime modulus.
 
     The unit group mod p is cyclic, so for each d dividing p - 1 exactly d
     units solve x^d = 1, and they are the (p-1)/d-th powers. S is therefore a
     subgroup exactly when d = |S| divides p - 1 and x^d = 1 for every x in S.
     """
-    if p is None:
-        p = s.modulus
-    elif p != s.modulus:
-        raise DomainError("modulus mismatch")
+    p = s.modulus
     if not is_prime(p):
         raise DomainError("power-residue index is defined for prime moduli only")
     order = s.cardinality
@@ -304,24 +316,8 @@ class Representation:
                 raise DomainError(f"factor {f} shares a divisor with the modulus")
 
 
-def _growth_for(
-    m: int,
-    c: Optional[float],
-    cutoff: Optional[int],
-    report: Optional[GrowthReport],
-    n_max: int,
-) -> GrowthReport:
-    if report is not None:
-        if report.modulus != m:
-            raise DomainError("report modulus mismatch")
-        if c is not None and report.cutoff != floor_power(m, c):
-            raise DomainError("report cutoff does not match the requested exponent")
-        if cutoff is not None and report.cutoff != cutoff:
-            raise DomainError("report cutoff mismatch")
-        if report.stable.witness is None:
-            raise DomainError("report must carry witnesses")
-        return report
-    rep = power_set_sequence(build_generator_set(m, c, cutoff=cutoff), n_max=n_max)
+def _witnessed_chain(gen: GeneratorSet, n_max: int) -> GrowthReport:
+    rep = power_set_sequence(gen, n_max=n_max)
     if not rep.stabilized:
         raise ResourceError(f"chain did not stabilize within n_max={n_max}")
     return rep
@@ -340,9 +336,7 @@ def represent_unit(
     gen = build_generator_set(m, c, cutoff=cutoff)
     if gen.base.cardinality <= 1:
         raise DomainError("degenerate generator set: no member besides 1")
-    rep = power_set_sequence(gen, n_max=n_max)
-    if not rep.stabilized:
-        raise ResourceError(f"chain did not stabilize within n_max={n_max}")
+    rep = _witnessed_chain(gen, n_max)
     g = int(gen.base.members[1])  # smallest member above 1
     g_inv = pow(g, -1, m)
     factors = (g,) + rep.stable.witness[g_inv]
@@ -359,30 +353,13 @@ def represent_target(
     c: Optional[float] = None,
     *,
     cutoff: Optional[int] = None,
-    report: Optional[GrowthReport] = None,
     n_max: int = DEFAULT_N_MAX,
 ) -> Representation:
     """A verified product of units <= cutoff congruent to the target mod a
-    prime p, padded with 1s to the stabilization length.
-
-    The target is reachable iff it lies in the stabilized subgroup, i.e. iff
-    it is an ell-th power residue for the report's ell; otherwise
-    NotRepresentableError carries that ell.
-    """
+    prime p, padded with 1s to the stabilization length (GrowthReport.represent
+    on a fresh witnessed chain)."""
     if not is_prime(p):
         raise DomainError("p must be prime")
-    target %= p
-    if target == 0:
+    if target % p == 0:
         raise DomainError("target must be a unit")
-    rep = _growth_for(p, c, cutoff, report, n_max)
-    if target not in rep.stable:
-        raise NotRepresentableError(
-            f"{target} is not representable at cutoff {rep.cutoff} mod {p} "
-            f"(not an ell-th power residue, ell={rep.ell})",
-            ell=rep.ell,
-        )
-    witness = rep.stable.witness[target]
-    factors = witness + (1,) * (rep.n_stab - len(witness))
-    out = Representation(p, target, rep.cutoff, factors)
-    out.verify()
-    return out
+    return _witnessed_chain(build_generator_set(p, c, cutoff=cutoff), n_max).represent(target)

@@ -70,9 +70,20 @@ class Interval:
 
 
 class ResidueSet:
-    """Dense, immutable membership structure over Z_m."""
+    """Dense, immutable membership structure over Z_m.
 
-    __slots__ = ("_modulus", "_mask", "_members")
+    witness is None unless the set was built with witness tracking; then it
+    is a read-only map from each member to a factor tuple whose product is the
+    member mod m. Witnesses follow one first-found rule: pairs are enumerated
+    in ascending order and the first pair that reaches a member gives its
+    witness. In a product S*T that is the smallest s in S reaching the member,
+    then the smallest t for that s; in a growth chain it is the first power
+    A^n holding the member, then the smallest generator reaching it from
+    A^(n-1). The view stores only the operands or the chain's level array and
+    rebuilds a witness when it is looked up.
+    """
+
+    __slots__ = ("_modulus", "_mask", "_members", "_witness")
 
     def __init__(self, modulus: int, mask: np.ndarray):
         if modulus < 1:
@@ -85,6 +96,17 @@ class ResidueSet:
         self._modulus = modulus
         self._mask = arr
         self._members: Optional[np.ndarray] = None
+        self._witness: Optional[_WitnessView] = None
+
+    @classmethod
+    def _witnessed(
+        cls, s: "ResidueSet", rebuild: Callable[[int], tuple[int, ...]]
+    ) -> "ResidueSet":
+        """s with a witness view attached; the mask is shared, not copied."""
+        out = cls.__new__(cls)
+        out._modulus, out._mask, out._members = s._modulus, s._mask, s._members
+        out._witness = _WitnessView(s, rebuild)
+        return out
 
     @classmethod
     def from_members(cls, modulus: int, members: Iterable[int]) -> "ResidueSet":
@@ -117,6 +139,20 @@ class ResidueSet:
     @property
     def contains_zero(self) -> bool:
         return bool(self._mask[0])
+
+    @property
+    def witness(self) -> Optional[Mapping[int, tuple[int, ...]]]:
+        return self._witness
+
+    def verify(self) -> None:
+        """Check every witness multiplies to its member (DomainError if not)."""
+        if self._witness is None:
+            raise DomainError("set carries no witnesses")
+        if set(self._witness) != set(self.members.tolist()):
+            raise DomainError("witness keys do not match the member set")
+        for r, factors in self._witness.items():
+            if prod(factors) % self._modulus != r:
+                raise DomainError(f"witness for {r} multiplies to {prod(factors) % self._modulus}")
 
     def __len__(self) -> int:
         return self.cardinality
@@ -276,59 +312,6 @@ class _WitnessView(Mapping):
         return f"<witnesses of {self._base.cardinality} members mod {self._base.modulus}>"
 
 
-@dataclass
-class WitnessedSet:
-    """A residue set whose members each carry one factorization witness.
-
-    witness maps each member to a factor tuple whose product is the member
-    mod m; it is None when the set was built without witness tracking.
-    Witnesses follow one first-found rule: pairs are enumerated in ascending
-    order and the first pair that reaches a member gives its witness. In a
-    product S*T that is the smallest s in S reaching the member, then the
-    smallest t for that s; in a growth chain it is the first power A^n
-    holding the member, then the smallest generator reaching it from A^(n-1).
-    The sets built here hold the witnesses as a read-only view that stores
-    only the operands or the chain's level array and rebuilds a witness when
-    it is looked up.
-    """
-
-    base: ResidueSet
-    witness: Optional[Mapping[int, tuple[int, ...]]] = None
-
-    @property
-    def modulus(self) -> int:
-        return self.base.modulus
-
-    @property
-    def members(self) -> np.ndarray:
-        return self.base.members
-
-    @property
-    def mask(self) -> np.ndarray:
-        return self.base.mask
-
-    @property
-    def cardinality(self) -> int:
-        return self.base.cardinality
-
-    def __len__(self) -> int:
-        return self.base.cardinality
-
-    def __contains__(self, x: int) -> bool:
-        return x in self.base
-
-    def verify(self) -> None:
-        """Check every stored witness multiplies to its member (DomainError if not)."""
-        if self.witness is None:
-            raise DomainError("set carries no witnesses")
-        m = self.base.modulus
-        if set(self.witness) != {int(x) for x in self.base.members}:
-            raise DomainError("witness keys do not match the member set")
-        for r, factors in self.witness.items():
-            if prod(factors) % m != r % m:
-                raise DomainError(f"witness for {r} multiplies to {prod(factors) % m}")
-
-
 class _Fold(NamedTuple):
     """One node of a product fold: an interval (slot is its index) or the
     product of two nodes (slot is -1)."""
@@ -355,7 +338,7 @@ def _fold_witness(root: _Fold, k: int, r: int) -> tuple[int, ...]:
 
 def iterated_interval_product(
     intervals: Iterable[Interval], with_witness: bool = False
-) -> WitnessedSet:
+) -> ResidueSet:
     """Product set of all the intervals, meet-in-the-middle.
 
     The interval list splits into two halves; each half folds its intervals
@@ -385,8 +368,8 @@ def iterated_interval_product(
         product_set(halves[0].set, halves[1].set), -1, *halves
     )
     if not with_witness:
-        return WitnessedSet(root.set, None)
-    return WitnessedSet(root.set, _WitnessView(root.set, lambda r: _fold_witness(root, k, r)))
+        return root.set
+    return ResidueSet._witnessed(root.set, lambda r: _fold_witness(root, k, r))
 
 
 class CoverageResult(NamedTuple):

@@ -133,7 +133,8 @@ class SmoothFactorization:
 def greedy_factor(
     x: int, m: int, c0: float, c: float, table: Optional[SmoothTable] = None
 ) -> SmoothFactorization:
-    """Split an m**c0-smooth x <= m coprime to m into bounded parts.
+    """Split any m**c0-smooth x <= m into bounded parts. Units are not
+    required; callers who need units filter them first.
 
     Greedy rule (fixed for determinism): list x's prime factors with
     multiplicity in descending order, and multiply successive primes into the

@@ -268,8 +268,8 @@ def abc_scan(
     if any(not 1 <= n <= p - 1 for n in lengths):
         raise DomainError("lengths must satisfy 1 <= len < p")
     intervals = [Interval(0, n, p) for n in lengths]
-    prod_l = iterated_interval_product(intervals[:LEFT_ARITY]).base
-    prod_r = iterated_interval_product(intervals[LEFT_ARITY:]).base
+    prod_l = iterated_interval_product(intervals[:LEFT_ARITY])
+    prod_r = iterated_interval_product(intervals[LEFT_ARITY:])
     l_members = prod_l.members
     r_members = prod_r.members
 

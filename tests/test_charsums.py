@@ -1,4 +1,5 @@
 import gc
+import tracemalloc
 import weakref
 from fractions import Fraction
 from itertools import product as iproduct
@@ -12,7 +13,6 @@ from hypothesis import strategies as st
 from prodcong.arith import FieldContext, build_field_context, primes_in_range
 from prodcong.charsums import (
     _dlog_spectrum,
-    _unit_roots,
     burgess_profile,
     char_sum,
     energy_diagnostic,
@@ -91,14 +91,23 @@ class TestCharSum:
             expected = 1.0 if u == 1 else 0.0
             assert total == pytest.approx(expected, abs=1e-9)
 
-    def test_root_cache_keeps_only_the_latest_tables(self):
-        # a sweep over primes must not pin one root table per prime
-        refs = []
-        for p in (1009, 1013, 1019, 1021, 1031):
-            char_sum(build_field_context(p), 1, [1, 2])
-            refs.append(weakref.ref(_unit_roots(p - 1)))
-        gc.collect()
-        assert sum(ref() is not None for ref in refs) <= 2
+    def test_char_sum_builds_no_root_table(self):
+        # only the |X| needed roots are evaluated, each bit-identical to the
+        # entry of the full table of p-1 roots
+        p = 10007
+        ctx = build_field_context(p)
+        table = np.exp(2j * np.pi * np.arange(p - 1) / (p - 1))
+        xs = np.arange(1, 500)
+        for j in (0, 1, 7, p - 2):
+            assert char_sum(ctx, j, xs) == complex(table[(j * ctx.dlog[xs]) % (p - 1)].sum())
+        ctx = build_field_context(999983)
+        tracemalloc.start()
+        try:
+            char_sum(ctx, 1, [1, 2])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
 
 class TestProductEnergy:

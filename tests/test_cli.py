@@ -278,6 +278,11 @@ class TestCoverageCommand:
         assert doc["summary"] == {"trials": 200, "counterexamples": 0}
         assert all(r["hypothesis_met"] for r in doc["rows"])
 
+    def test_zero_trials_names_the_option(self, capsys):
+        code, _, err = run(capsys, ["coverage", "--p", "5", "--random", "0"])
+        assert code == 2
+        assert "--random" in err
+
 
 class TestRepresentCommand:
     def test_unit_example(self, capsys):

@@ -6,13 +6,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from prodcong.arith import primes_in_range
 from prodcong.errors import DomainError, NotRepresentableError
 from prodcong.growth import (
     _power_mod,
     build_generator_set,
     is_subgroup,
     least_power_nonresidue,
-    nth_power_set,
     olson_bound_check,
     power_residue_index,
     power_set_sequence,
@@ -42,7 +42,6 @@ class TestGeneratorSet:
     def test_cutoff_three_mod_seven(self):
         gen = build_generator_set(7, cutoff=3)
         assert members(gen.base) == {1, 2, 3}
-        assert gen.base.witness == {1: (1,), 2: (2,), 3: (3,)}
 
     def test_gcd_filter_mod_eight(self):
         assert members(build_generator_set(8, cutoff=3).base) == {1, 3}
@@ -109,7 +108,6 @@ class TestPowerSetSequence:
         rep = power_set_sequence(build_generator_set(67, cutoff=2), n_max=10)
         assert not rep.stabilized
         assert rep.n_stab is None
-        assert not rep.is_subgroup_at_stab
 
     def test_cards_match_bruteforce(self):
         for m, cutoff in [(7, 3), (7, 2), (8, 3), (15, 4), (31, 3), (45, 7)]:
@@ -139,9 +137,8 @@ class TestPowerSetSequence:
         rep = power_set_sequence(build_generator_set(m, cutoff=cutoff), n_max=512)
         assert rep.stabilized
         assert rep.cards == sorted(rep.cards)
-        assert rep.is_subgroup_at_stab
         assert rep.phi % rep.subgroup_order == 0
-        assert is_subgroup(rep.stable.base)
+        assert is_subgroup(rep.stable)
 
     @given(
         st.integers(min_value=4, max_value=400).filter(
@@ -164,12 +161,12 @@ class TestPowerSetSequence:
         assert dict(rep.stable.witness) == {1: (1,), 2: (2,), 4: (2, 2)}
         assert power_set_sequence(build_generator_set(7, cutoff=2), with_witness=False).stable.witness is None
 
-    def test_nth_power_set_matches_cards(self):
+    def test_truncated_chain_matches_cards(self):
         gen = build_generator_set(7, cutoff=3)
         rep = power_set_sequence(gen)
         for n, card in enumerate(rep.cards, start=1):
-            assert nth_power_set(gen, n).cardinality == card
-        assert nth_power_set(gen, 40) == rep.stable.base
+            assert power_set_sequence(gen, n_max=n, with_witness=False).stable.cardinality == card
+        assert power_set_sequence(gen, n_max=40, with_witness=False).stable == rep.stable
 
 
 class TestOlson:
@@ -302,12 +299,41 @@ class TestRepresentTarget:
             residues = {pow(x, ell, p) for x in range(1, p)}
             for lam in range(1, p):
                 if lam in residues:
-                    rep = represent_target(p, lam, cutoff=2, report=report)
+                    rep = report.represent(lam)
                     rep.verify()
                     assert len(rep.factors) == report.n_stab
                 else:
                     with pytest.raises(NotRepresentableError):
-                        represent_target(p, lam, cutoff=2, report=report)
+                        report.represent(lam)
+
+    def test_equals_report_represent(self):
+        for p in primes_in_range(2, 59):
+            for k in range(2, 7):
+                report = power_set_sequence(build_generator_set(p, cutoff=k), n_max=p)
+                for t in range(1, p):
+                    try:
+                        want = report.represent(t)
+                    except NotRepresentableError as exc:
+                        with pytest.raises(NotRepresentableError) as got:
+                            represent_target(p, t, cutoff=k)
+                        assert got.value.ell == exc.ell
+                    else:
+                        assert represent_target(p, t, cutoff=k) == want
+
+    def test_report_represent_composite_modulus(self):
+        report = power_set_sequence(build_generator_set(15, cutoff=2))  # <2> = {1, 2, 4, 8}
+        assert report.represent(8).factors == (2, 2, 2)
+        with pytest.raises(NotRepresentableError, match="not in the stabilized subgroup") as exc:
+            report.represent(7)
+        assert exc.value.ell is None
+
+    def test_report_represent_needs_witnesses_and_stabilization(self):
+        plain = power_set_sequence(build_generator_set(7, cutoff=3), with_witness=False)
+        with pytest.raises(DomainError):
+            plain.represent(4)
+        unstable = power_set_sequence(build_generator_set(67, cutoff=2), n_max=10)
+        with pytest.raises(DomainError):
+            unstable.represent(4)
 
     def test_composite_modulus_rejected(self):
         with pytest.raises(DomainError):
@@ -321,7 +347,7 @@ class TestSmoothInclusion:
         table = build_smooth_table(500)
         for m in range(100, 500, 7):
             gen = build_generator_set(m, 0.5)
-            a5 = nth_power_set(gen, 5)
+            a5 = power_set_sequence(gen, n_max=5, with_witness=False).stable
             bound = isqrt(m)
             count = 0
             for x in range(1, m + 1):
@@ -409,5 +435,5 @@ class TestChainKernel:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert (rep.subgroup_order, rep.ell, rep.is_subgroup_at_stab) == (4019, 2, True)
+        assert (rep.subgroup_order, rep.ell, rep.stabilized) == (4019, 2, True)
         assert peak < 16 * 2**20

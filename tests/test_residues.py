@@ -234,20 +234,29 @@ class TestPigeonhole:
 class TestIteratedProduct:
     def test_single_interval(self):
         w = iterated_interval_product([Interval(0, 2, 11)], with_witness=True)
-        assert members(w.base) == {1, 2}
+        assert members(w) == {1, 2}
         assert w.witness == {1: (1,), 2: (2,)}
         w.verify()
 
     def test_triple_of_prefixes_mod_101(self):
         w = iterated_interval_product([Interval(0, 4, 101)] * 3, with_witness=True)
-        assert members(w.base) == {1, 2, 3, 4, 6, 8, 9, 12, 16, 18, 24, 27, 32, 36, 48, 64}
+        assert members(w) == {1, 2, 3, 4, 6, 8, 9, 12, 16, 18, 24, 27, 32, 36, 48, 64}
         assert w.cardinality == 16
         w.verify()
 
     def test_six_singletons(self):
         w = iterated_interval_product([Interval(0, 1, 13)] * 6, with_witness=True)
-        assert members(w.base) == {1}
+        assert members(w) == {1}
         assert w.witness[1] == (1,) * 6
+
+    def test_witnessed_and_plain_products_are_equal_sets(self):
+        intervals = [Interval(3, 4, 31), Interval(0, 2, 31), Interval(10, 5, 31)]
+        plain = iterated_interval_product(intervals)
+        witnessed = iterated_interval_product(intervals, with_witness=True)
+        assert plain == witnessed and witnessed == plain
+        assert plain.witness is None and witnessed.witness is not None
+        with pytest.raises(DomainError):
+            plain.verify()
 
     def test_empty_list_rejected(self):
         with pytest.raises(DomainError):
@@ -286,9 +295,9 @@ class TestIteratedProduct:
             expected = brute_product(m, expected, members(iv.to_set()))
         for perm in list(permutations(range(k)))[:6]:
             got = iterated_interval_product([intervals[i] for i in perm])
-            assert members(got.base) == expected
+            assert members(got) == expected
         withw = iterated_interval_product(intervals, with_witness=True)
-        assert members(withw.base) == expected
+        assert members(withw) == expected
         withw.verify()
 
 
@@ -317,7 +326,7 @@ class TestIteratedProduct:
             assert missing not in w.witness
             with pytest.raises(KeyError):
                 w.witness[missing]
-        assert len(w.witness) == 16 and list(w.witness) == sorted(members(w.base))
+        assert len(w.witness) == 16 and list(w.witness) == sorted(members(w))
 
 
 class TestCoverage:

@@ -113,7 +113,7 @@ class TestSolveExamples:
             b_inv = pow(inst.b, -1, p)
             for u in prod_l.members.tolist():
                 needed = (inst.c - inst.a * u) * b_inv % p
-                assert needed not in prod_r.base
+                assert needed not in prod_r
         assert seen_negative >= 20
 
     def test_pairs_on_left(self):
