@@ -13,9 +13,9 @@ from functools import cache
 
 import numpy as np
 
-from .arith import build_field_context, euler_phi, floor_power, is_prime
+from .arith import build_field_context, euler_phi, factorize, floor_power, is_prime
 from .charsums import burgess_profile, energy_diagnostic
-from .errors import DomainError, NotRepresentableError, ProdcongError, ResourceError
+from .errors import DomainError, NotRepresentableError, ResourceError
 from .growth import (
     build_generator_set,
     olson_bound_check,
@@ -26,7 +26,8 @@ from .growth import (
 from .report import Report
 from .residues import Interval, ResidueSet, coverage_check, units_mask
 from .rng import stream
-from .smooth import build_smooth_table, greedy_factor
+from .smooth import _greedy_check
+from .smooth import _shared as _shared_smooth_table
 from .solver import SolveInstance, abc_scan, solve, threshold_scan
 
 EXIT_OK = 0
@@ -239,16 +240,20 @@ def cmd_smooth(args) -> tuple[Report, int]:
         raise DomainError("m must be >= 2")
     if not 0 < args.c0 < 1:
         raise DomainError("c0 must lie in (0, 1)")
-    table = build_smooth_table(m)
+    table = _shared_smooth_table(m)
     bound = floor_power(m, args.c0)
-    psi = table.psi(m, bound)
-    psi_coprime = table.psi_q(m, bound, m)
+    # the smooth units: x <= m is a unit unless a prime divisor of m divides it
+    eligible = table.lpf[1 : m + 1] <= bound
+    for q, _ in factorize(m):
+        eligible[q - 1 :: q] = False
+    eligible = np.flatnonzero(eligible) + 1
+    psi_coprime = len(eligible)
     phi = euler_phi(m)
     row = {
         "m": m,
         "c0": args.c0,
         "smooth_bound": bound,
-        "psi": psi,
+        "psi": table.psi(m, bound),
         "psi_coprime": psi_coprime,
         "phi": phi,
         "delta_hat": psi_coprime / phi,
@@ -258,16 +263,9 @@ def cmd_smooth(args) -> tuple[Report, int]:
     }
     failures = 0
     if args.check_greedy:
-        xs = np.arange(1, m + 1, dtype=np.int64)
-        eligible = xs[(table.lpf[1 : m + 1] <= bound) & (np.gcd(xs, m) == 1)].tolist()
-        max_k = 0
-        for x in eligible:
-            try:
-                fac = greedy_factor(x, m, args.c0, args.c0, table=table)
-                max_k = max(max_k, fac.k)
-            except ProdcongError:
-                failures += 1
-        row.update(greedy_checked=len(eligible), greedy_max_k=max_k, greedy_failures=failures)
+        checked, max_k, failures = _greedy_check(table.lpf, eligible, m, args.c0, args.c0)
+        assert checked == psi_coprime
+        row.update(greedy_checked=checked, greedy_max_k=max_k, greedy_failures=failures)
     report = Report(
         command="smooth",
         config={"m": m, "c0": args.c0, "check_greedy": bool(args.check_greedy)},

@@ -70,13 +70,17 @@ class SmoothTable:
         return Fraction(self.psi_q(m, y, m), euler_phi(m))
 
 
-def build_smooth_table(x_max: int) -> SmoothTable:
-    if x_max < 1:
-        raise DomainError("x_max must be >= 1")
+def _check_cap(x_max: int) -> None:
     if x_max > sieve_cap():
         raise ResourceError(
             f"x_max={x_max} exceeds sieve cap {sieve_cap()} (set {SIEVE_CAP_ENV} to raise)"
         )
+
+
+def build_smooth_table(x_max: int) -> SmoothTable:
+    if x_max < 1:
+        raise DomainError("x_max must be >= 1")
+    _check_cap(x_max)
     lpf = np.zeros(x_max + 1, dtype=np.int64)
     lpf[1:2] = 1
     for q in primes_in_range(2, x_max):  # ascending, so the largest prime wins
@@ -89,7 +93,11 @@ _shared_table: Optional[SmoothTable] = None
 
 
 def _shared(n: int) -> SmoothTable:
+    """A table covering 1..n, kept between calls; lpf(k) for k <= n does not
+    depend on how far it reaches. n over the sieve cap is refused even when the
+    kept table covers it."""
     global _shared_table
+    _check_cap(n)
     if _shared_table is None or _shared_table.x_max < n:
         _shared_table = build_smooth_table(min(max(2 * n, 1024), sieve_cap()))
     return _shared_table
@@ -168,3 +176,71 @@ def greedy_factor(
         else:
             cur *= q
     return SmoothFactorization(x, m, c0, c, (cur, *parts) if cur < lo else (*parts, cur))
+
+
+_GREEDY_BLOCK = 1 << 13  # rows per block, so the part matrices stay a few MB at any m
+
+
+def _greedy_rows(
+    lpf: np.ndarray, xs: np.ndarray, m: int, c0: float, c: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """`greedy_factor` on every x in xs (1 <= x <= m, x in the table) at once.
+
+    Returns the parts (one row per x in greedy_factor's order, padded with 1),
+    k, and whether greedy_factor returns rather than raises: x is
+    m**c0-smooth and the parts pass SmoothFactorization's checks. Each round
+    takes q = lpf[rem] for every row still open, closes the part where
+    cur*q > cap, and divides q out of rem, so there are at most log2(max xs)
+    rounds. cur*q always divides x, so int64 is exact.
+    """
+    smooth_bound, cap, lo, max_parts = _bounds(m, c0, c)
+    xs = np.asarray(xs, dtype=np.int64)
+    n = len(xs)
+    # column 0 is kept for a small last part; closed parts start at column 1
+    parts = np.ones((n, int(xs.max(initial=1)).bit_length() + 1), dtype=np.int64)
+    n_closed = np.zeros(n, dtype=np.int64)
+    cur = np.ones(n, dtype=np.int64)
+    rem = xs.copy()
+    rows = np.flatnonzero(rem > 1)
+    while rows.size:
+        q = lpf[rem[rows]]
+        grown = cur[rows] * q
+        close = grown > cap
+        shut = rows[close]
+        n_closed[shut] += 1
+        parts[shut, n_closed[shut]] = cur[shut]
+        cur[rows] = np.where(close, q, grown)
+        rem[rows] //= q
+        rows = rows[rem[rows] > 1]
+    k = n_closed + 1
+    front = cur < lo
+    parts[front, 0] = cur[front]
+    back = np.flatnonzero(~front)
+    parts[back, k[back]] = cur[back]
+    width = int(k.max(initial=1))
+    parts = np.where(front[:, None], parts[:, :width], parts[:, 1 : width + 1])
+
+    cols = np.arange(parts.shape[1])
+    later = (cols >= 1) & (cols < k[:, None])
+    ok = (lpf[xs] <= smooth_bound) & (k <= max_parts) & (parts[:, 0] <= cap)
+    ok &= np.all(~later | ((parts >= lo) & (parts <= cap)), axis=1)
+    # the parts multiply back to x: divide them out exactly, column by column
+    rest = xs.copy()
+    for col in parts.T:
+        ok &= rest % col == 0
+        rest //= col
+    return parts, k, ok & (rest == 1)
+
+
+def _greedy_check(
+    lpf: np.ndarray, xs: np.ndarray, m: int, c0: float, c: float
+) -> tuple[int, int, int]:
+    """(rows checked, largest k among the x that split, count of x that do
+    not), from `_greedy_rows` over blocks of `_GREEDY_BLOCK` rows."""
+    checked = max_k = failures = 0
+    for start in range(0, len(xs), _GREEDY_BLOCK):
+        _, k, ok = _greedy_rows(lpf, xs[start : start + _GREEDY_BLOCK], m, c0, c)
+        checked += len(ok)
+        max_k = max(max_k, int(k[ok].max(initial=0)))
+        failures += int(np.count_nonzero(~ok))
+    return checked, max_k, failures

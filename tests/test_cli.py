@@ -241,6 +241,18 @@ class TestReportBytesPinned:
             (["olson-suite", "--count", "30", "--m-max", "300", "--seed", "11"], 0,
              "4c7d90d47ad07b35aa9e1929ff821a85e8012d308af0531dd95d66187b46618b",
              "0bdbd4d152ba04d5cb3ea381e00a9ecc88e198c949ae919e28df0f0ebf8f92a2"),
+            (["smooth", "--check-greedy", "--m", "19997", "--c0", "0.5"], 0,
+             "1e986d8d041af2d4718014a78ce948c2518f089181a16aa572d9eb6d0322992b",
+             "7780c74873142af8b99daf05a283f6e0c5c7a68a068022067ae56245eb5b6596"),
+            (["smooth", "--check-greedy", "--m", "17325", "--c0", "0.3"], 0,
+             "5f1f2e887d6274488cccc708b3e36a5f410f8e2590f47ad399ba858c9775b6d9",
+             "7e51afebe1ba845b97d43c1cf6631d12602edb4d2ec8d9ee8ff1d1394f1ef70c"),
+            (["smooth", "--check-greedy", "--m", "2", "--c0", "0.5"], 0,
+             "74e306bfde159f632544e599971205ffe2d42f65a2ba6dd1e75c7057717dfd5c",
+             "78eb3fd1d6c0da2437134051f0a8ab5d0355c38a641018dc8e50e8b925437e88"),
+            (["smooth", "--check-greedy", "--m", "3", "--c0", "0.1"], 0,
+             "38979865171f0a946d59b45576bd7fcc09905ddcd0eebf5a55f69d1d7f0d9c7e",
+             "1095183173c4bb61628446a782bc55550a7581498b81149a40016f21f9d99e7d"),
         ],
     )
     def test_report_bytes_pinned(self, capsys, args, code, json_digest, csv_digest):

@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 from math import gcd, isqrt, prod
 
@@ -6,8 +7,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from prodcong import smooth
 from prodcong.arith import ceil_power, euler_phi, floor_power
-from prodcong.errors import DomainError, ResourceError
+from prodcong.errors import DomainError, ProdcongError, ResourceError
 from prodcong.smooth import SmoothFactorization, build_smooth_table, greedy_factor
 from reference_smooth import greedy_parts_reference
 
@@ -56,6 +58,14 @@ class TestSmoothTable:
         monkeypatch.setenv("PRODCONG_SIEVE_CAP", "100")
         with pytest.raises(ResourceError):
             build_smooth_table(101)
+
+    def test_shared_table_refuses_beyond_cap(self, monkeypatch):
+        # the kept table covers 6000 here, and is still not used past the cap
+        greedy_factor(6000, 7000, 0.5, 0.5)
+        monkeypatch.setenv("PRODCONG_SIEVE_CAP", "5000")
+        with pytest.raises(ResourceError, match="sieve cap 5000"):
+            greedy_factor(6000, 7000, 0.5, 0.5)
+        greedy_factor(5000, 7000, 0.5, 0.5)
 
 
 class TestPsi:
@@ -201,3 +211,85 @@ class TestSmoothFactorizationValidation:
                 fac = greedy_factor(x, m, 0.5, 0.5, table=table)
                 assert prod(fac.parts) == x
                 assert fac.k <= 5
+
+
+def greedy_reference(xs, m, c0, c, table):
+    """greedy_factor on each x: its parts, or None where it raises."""
+    out = []
+    for x in xs:
+        try:
+            out.append(greedy_factor(x, m, c0, c, table=table).parts)
+        except ProdcongError:
+            out.append(None)
+    return out
+
+
+def assert_rows_match(table, m, c0, c):
+    xs = np.arange(1, m + 1)
+    parts, k, ok = smooth._greedy_rows(table.lpf, xs, m, c0, c)
+    for x, want, row, k_x, ok_x in zip(xs, greedy_reference(xs, m, c0, c, table), parts, k, ok):
+        assert ok_x == (want is not None), (m, x)
+        if want is not None:
+            assert k_x == len(want), (m, x)
+            assert tuple(row[:k_x].tolist()) == want, (m, x)
+            assert (row[k_x:] == 1).all(), (m, x)
+
+
+class TestGreedyKernel:
+    @pytest.mark.parametrize("c0, c", [(0.3, 0.3), (0.4, 0.4), (0.5, 0.5), (0.3, 0.55)])
+    def test_matches_greedy_factor_on_every_x(self, table, c0, c):
+        # the enumeration of test_matches_merge_loop_reference, over every
+        # x <= m: smooth or not, unit or not
+        largest = {}
+        for m in range(2, 3001):
+            bounds = (floor_power(m, c0), floor_power(m, c), ceil_power(m, c / 2))
+            if bounds[0] >= 2:
+                largest[bounds] = m
+        for m in largest.values():
+            assert_rows_match(table, m, c0, c)
+
+    def test_bound_one(self, table):
+        # floor(3**0.1) = 1: only x = 1 splits
+        assert_rows_match(table, 3, 0.1, 0.1)
+        assert smooth._greedy_check(table.lpf, np.arange(1, 4), 3, 0.1, 0.1) == (3, 1, 2)
+
+    @pytest.mark.parametrize("tighten", [
+        lambda b: (b[0] - 3, b[1], b[2], b[3]),
+        lambda b: (b[0], b[1] - 5, b[2], b[3]),
+        lambda b: (b[0], b[1], b[1], b[3]),
+        lambda b: (b[0], b[1], b[2], 2),
+        lambda b: (b[0], b[0] - 1, 1, b[3]),  # at m = 97**2, x = 97 splits as (1, 97)
+    ], ids=["smooth_bound", "cap", "lo_at_cap", "two_parts", "prime_over_cap"])
+    def test_matches_greedy_factor_under_tightened_bounds(self, table, monkeypatch, tighten):
+        # at m's own bounds k never exceeds ceil(2/c0) + 1 and no part exceeds
+        # the cap, so those checks are pinned where a tightened bound binds
+        natural = smooth._bounds
+        monkeypatch.setattr(smooth, "_bounds", lambda m, c0, c: tighten(natural(m, c0, c)))
+        for m in (1000, 2310, 4096, 9409, 9973):
+            assert_rows_match(table, m, 0.5, 0.5)
+
+    def test_blocks_add_up(self, table, monkeypatch):
+        m, c0 = 2310, 0.4
+        xs = np.arange(1, m + 1)
+        want = [parts for parts in greedy_reference(xs, m, c0, c0, table) if parts]
+        summary = (m, max(map(len, want)), m - len(want))
+        monkeypatch.setattr(smooth, "_GREEDY_BLOCK", 7)
+        assert smooth._greedy_check(table.lpf, xs, m, c0, c0) == summary
+
+    def test_memory_is_bounded_by_the_block(self):
+        # one block holds a part matrix of bit_length(m) + 1 int64 columns;
+        # the ordered copy and the row vectors keep the peak under three
+        m = 10**6
+        table = build_smooth_table(m)
+        xs = np.flatnonzero(table.lpf[1:] <= floor_power(m, 0.5)) + 1
+        limit = 3 * smooth._GREEDY_BLOCK * (m.bit_length() + 1) * 8
+        assert len(xs) * (m.bit_length() + 1) * 8 > 10 * limit  # unblocked, it would not fit
+        tracemalloc.start()
+        try:
+            checked, max_k, failures = smooth._greedy_check(table.lpf, xs, m, 0.5, 0.5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (checked, failures) == (len(xs), 0)
+        assert max_k <= 5
+        assert peak < limit
