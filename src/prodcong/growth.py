@@ -23,6 +23,9 @@ from .residues import ResidueSet, _pairwise_mask, product_set
 
 DEFAULT_N_MAX = 64
 
+# The most products a chain step forms as Python ints (see _step).
+_SCALAR_CELLS = 64
+
 
 @dataclass(frozen=True)
 class GeneratorSet:
@@ -71,33 +74,65 @@ def _chain(m: int, gens: np.ndarray, n_max: int):
     Returns (level, cards, n_stab): level[r] is the least n with r in A^n (0
     when r is in none), cards lists |A^1|, |A^2|, ..., and n_stab is None when
     n_max came first. As 1 is in A, A^(n-1) * A already lies in A^n, so each
-    step multiplies only the newest layer by A. The chain stops at the full
+    step multiplies only the newest layer F by A. The chain stops at the full
     unit group, or at the first step that adds nothing, whose repeated
     cardinality is then the last entry of cards.
+
+    A step (`_step`) costs what its products cost while the newest layer is
+    small, and builds the m-entry pairwise mask only for a large one.
     """
     phi = euler_phi(m)
     level = np.zeros(m, dtype=np.int32)
     level[gens] = 1
     if not level[1 % m]:
         raise AssertionError("1 must be in A, or the growth chain can lose a member")
-    mask = level > 0
+    seen = bytearray(m)
+    np.frombuffer(seen, dtype=bool)[gens] = True
+    levels = memoryview(level)
     frontier = gens
     cards = [gens.size]
     n = 1
     n_stab: Optional[int] = 1 if gens.size == phi else None
     while n_stab is None and n < n_max:
-        # new members: reached by the step and not yet in the mask
-        frontier = np.flatnonzero(_pairwise_mask(m, frontier, gens, np.multiply) > mask)
-        mask[frontier] = True
-        level[frontier] = n + 1
-        cards.append(cards[-1] + frontier.size)
-        if frontier.size == 0:
+        frontier = _step(m, frontier, gens, seen, levels, n + 1)
+        cards.append(cards[-1] + len(frontier))
+        if len(frontier) == 0:
             n_stab = n
         else:
             n += 1
             if cards[-1] == phi:
                 n_stab = n
     return level, cards, n_stab
+
+
+def _step(m: int, frontier, gens: np.ndarray, seen: bytearray, levels: memoryview, n: int):
+    """The members of frontier * gens mod m that seen does not hold yet, each
+    marked in seen and given level n. seen holds one byte per residue (the
+    chain's mask) and levels is a memoryview of the chain's level array.
+
+    While the |F||A| products number at most _SCALAR_CELLS, the step loops over
+    Python ints against seen and returns a list in order of discovery: a numpy
+    call costs more than that loop. Otherwise it builds the m-entry pairwise
+    mask of the step and returns the new members as an ascending array. The
+    frontier may be either kind.
+    """
+    if len(frontier) * gens.size <= _SCALAR_CELLS:
+        new = []
+        units = gens.tolist()
+        for u in frontier.tolist() if isinstance(frontier, np.ndarray) else frontier:
+            for a in units:
+                r = u * a % m
+                if not seen[r]:
+                    seen[r] = 1
+                    levels[r] = n
+                    new.append(r)
+        return new
+    mask = np.frombuffer(seen, dtype=bool)
+    frontier = np.asarray(frontier, dtype=np.int64)
+    new = np.flatnonzero(_pairwise_mask(m, frontier, gens, np.multiply) > mask)
+    mask[new] = True
+    np.frombuffer(levels, dtype=np.int32)[new] = n
+    return new
 
 
 def _level_witness(m: int, level: np.ndarray, gens: np.ndarray):

@@ -1,14 +1,19 @@
+import json
 import tracemalloc
 from math import gcd, isqrt, prod
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import prodcong.growth
+import prodcong.residues
 from prodcong.arith import primes_in_range
+from prodcong.cli import main
 from prodcong.errors import DomainError, NotRepresentableError
 from prodcong.growth import (
+    _chain,
     _power_mod,
     build_generator_set,
     is_subgroup,
@@ -19,10 +24,10 @@ from prodcong.growth import (
     represent_target,
     represent_unit,
 )
-from prodcong.residues import ResidueSet
+from prodcong.residues import ResidueSet, product_set
 from prodcong.rng import stream
 from prodcong.smooth import build_smooth_table, greedy_factor
-from reference_growth import olson_reference
+from reference_growth import olson_reference, table_chain
 from reference_witness import growth_chain
 
 
@@ -437,3 +442,91 @@ class TestChainKernel:
             tracemalloc.stop()
         assert (rep.subgroup_order, rep.ell, rep.stabilized) == (4019, 2, True)
         assert peak < 16 * 2**20
+
+
+def chain_case(data):
+    """(m, gens, n_max): the units up to a cutoff 1-17, or an olson-suite
+    style random set of units with 1, for prime or composite m <= 400, with
+    n_max either truncating or past every possible step."""
+    m = data.draw(
+        st.one_of(st.sampled_from(primes_in_range(2, 400)), st.integers(min_value=2, max_value=400))
+    )
+    units = np.flatnonzero(np.gcd(np.arange(m), m) == 1)
+    if data.draw(st.booleans()):
+        gens = build_generator_set(m, cutoff=data.draw(st.integers(1, 17))).base.members
+    else:
+        extra = data.draw(st.integers(0, units.size - 1))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        chosen = rng.choice(units, size=extra, replace=False) if extra else []
+        gens = ResidueSet.from_members(m, {1, *map(int, chosen)}).members
+    n_max = data.draw(st.one_of(st.integers(1, 12), st.just(m + 1)))
+    return m, gens, n_max
+
+
+def chain_tuple(m, gens, n_max):
+    level, cards, n_stab = _chain(m, gens, n_max)
+    return level.tolist(), cards, n_stab
+
+
+class TestFrontierStep:
+    """The frontier-sized chain step against the table-step reference."""
+
+    @given(st.data())
+    def test_chain_matches_table_steps(self, data):
+        m, gens, n_max = chain_case(data)
+        level, cards, n_stab = table_chain(m, gens, n_max)
+        assert chain_tuple(m, gens, n_max) == (level.tolist(), cards, n_stab)
+
+    @settings(max_examples=30)
+    @given(st.data())
+    def test_each_path_matches_table_steps(self, data):
+        m, gens, n_max = chain_case(data)
+        level, cards, n_stab = table_chain(m, gens, n_max)
+        expected = (level.tolist(), cards, n_stab)
+        # a huge scalar cap forces the scalar path; 0 and 1 send every step,
+        # or every step with more than one product, to the pairwise mask
+        for scalar in (0, 1, 1 << 40):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(prodcong.growth, "_SCALAR_CELLS", scalar)
+                assert chain_tuple(m, gens, n_max) == expected
+
+    def test_powers_of_two_at_scale(self, capsys):
+        # 2 has order 99999 = 3^2 * 41 * 271 mod 199999, and A^n = {1, 2, 4,
+        # ..., 2^n}, so 2^j first appears in A^max(j, 1) and the chain stabilizes
+        # at n = 99998, when the subgroup <2> is complete
+        p, order = 199999, 99999
+        level, cards, n_stab = _chain(p, np.array([1, 2]), p + 1)
+        assert pow(2, order, p) == 1 and all(pow(2, order // q, p) != 1 for q in (3, 41, 271))
+        powers = [pow(2, j, p) for j in range(order)]
+        assert level[powers].tolist() == [1] + list(range(1, order))
+        assert (n_stab, cards[-1], np.count_nonzero(level)) == (order - 1, order, order)
+        assert main(["growth", "--m", "199999", "--cutoff", "2", "--n-max", "200000", "--format", "json"]) == 0
+        (row,) = json.loads(capsys.readouterr().out)["rows"]
+        assert (row["n_stab"], row["subgroup_order"], row["ell"]) == (order - 1, order, 2)
+        assert main(["growth", "--m", "199999", "--cutoff", "2", "--n-max", "1000", "--format", "json"]) == 0
+        (row,) = json.loads(capsys.readouterr().out)["rows"]
+        assert (row["n_stab"], row["subgroup_order"], row["ell"]) == (None, 1001, None)
+
+    def test_small_layers_build_no_table(self, monkeypatch):
+        calls = {"table": 0, "in_chain": 0}
+        table_mask = prodcong.residues._table_mask
+        chain = prodcong.growth._chain
+
+        def counted_table(*args):
+            calls["table"] += 1
+            return table_mask(*args)
+
+        def counted_chain(*args):
+            before = calls["table"]
+            out = chain(*args)
+            calls["in_chain"] += calls["table"] - before
+            return out
+
+        monkeypatch.setattr(prodcong.residues, "_table_mask", counted_table)
+        monkeypatch.setattr(prodcong.growth, "_chain", counted_chain)
+        rep = power_set_sequence(build_generator_set(3931, cutoff=2), n_max=4000)
+        assert (rep.n_stab, rep.subgroup_order) == (3929, 3930)
+        assert calls["in_chain"] == 0
+        certificate = calls["table"]
+        product_set(rep.stable, build_generator_set(3931, cutoff=2).base)
+        assert calls["table"] == 2 * certificate
