@@ -11,12 +11,12 @@ representations: products of small integers hitting 1 or a chosen target.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd, prod
+from math import gcd, lcm, prod
 from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .arith import euler_phi, floor_power, is_prime
+from .arith import euler_phi, factorize, floor_power, is_prime
 from .charsums import nonresidue_cap
 from .errors import DomainError, NotRepresentableError, ResourceError
 from .residues import ResidueSet, _pairwise_mask, product_set
@@ -129,7 +129,7 @@ def _step(m: int, frontier, gens: np.ndarray, seen: bytearray, levels: memoryvie
         return new
     mask = np.frombuffer(seen, dtype=bool)
     frontier = np.asarray(frontier, dtype=np.int64)
-    new = np.flatnonzero(_pairwise_mask(m, frontier, gens, np.multiply) > mask)
+    new = np.flatnonzero(_pairwise_mask(m, frontier, gens, np.multiply, dlog_fft=False) > mask)
     mask[new] = True
     np.frombuffer(levels, dtype=np.int32)[new] = n
     return new
@@ -221,7 +221,10 @@ def power_set_sequence(
     Stabilization is detected by cardinality equality, sound because the chain
     is nondecreasing. Closure of the stabilized set S = A^n is then certified
     by S * A = S: with 1 in A that gives S * A^k = S for every k, so
-    S * S = S * A^n = S.
+    S * S = S * A^n = S. For a prime modulus the unit group is cyclic, so the
+    group A generates is its one subgroup of order lcm of ord(a) over a in A;
+    S lies in that group, and S holding 1 with that many members certifies
+    S equal to it, with ell = (p - 1) / |S|.
     """
     if n_max < 1:
         raise DomainError("n_max must be >= 1")
@@ -240,7 +243,9 @@ def power_set_sequence(
         if phi % order != 0:
             raise AssertionError("subgroup order does not divide phi(m)")
         if is_prime(m):
-            ell = power_residue_index(s)
+            if 1 not in s or order != _generated_order(m, gens.tolist()):
+                raise AssertionError("stabilized set is not the group its generators generate")
+            ell = (m - 1) // order
     return GrowthReport(
         modulus=m,
         c=gen.c,
@@ -272,6 +277,23 @@ def olson_bound_check(x: ResidueSet) -> OlsonCheck:
     level, cards, h = _chain(x.modulus, x.members, x.modulus + 1)
     bound = max(2.0, 2 * cards[-1] / x.cardinality - 1)
     return OlsonCheck(h, bound, ResidueSet(x.modulus, level > 0))
+
+
+def _generated_order(p: int, gens: list[int]) -> int:
+    """The order of the subgroup the units gens generate mod a prime p: the
+    lcm of their multiplicative orders, each found by dividing p - 1 by its
+    prime factors while the power stays 1."""
+    factors = [q for q, _ in factorize(p - 1)]
+    out = 1
+    for a in gens:
+        if out == p - 1:
+            break
+        e = p - 1
+        for q in factors:
+            while e % q == 0 and pow(a, e // q, p) == 1:
+                e //= q
+        out = lcm(out, e)
+    return out
 
 
 def _power_mod(xs: np.ndarray, e: int, m: int) -> np.ndarray:

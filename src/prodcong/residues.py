@@ -18,12 +18,15 @@ from typing import Callable, Iterable, NamedTuple, Optional
 
 import numpy as np
 
-from .arith import euler_phi, is_prime
+from .arith import build_field_context, euler_phi, factorize, is_prime, table_cap
 from .errors import DomainError
 
 # Pairwise kernels and witness searches build their |S| x |T| tables in row
 # chunks of at most this many cells (one row when a single row is wider).
 _CHUNK_CELLS = 1 << 18
+# The discrete-log convolution of a product set mod p runs on at most this
+# many FFT points; a larger prime takes the chunked table.
+_FFT_POINTS = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -111,8 +114,11 @@ class ResidueSet:
     @classmethod
     def from_members(cls, modulus: int, members: Iterable[int]) -> "ResidueSet":
         mask = np.zeros(modulus, dtype=bool)
-        for x in members:
-            mask[int(x) % modulus] = True
+        if isinstance(members, np.ndarray) and np.can_cast(members.dtype, np.int64):
+            mask[members.astype(np.int64, copy=False) % modulus] = True
+        else:  # Python ints of any size, uint64 and anything else int() accepts
+            for x in members:
+                mask[int(x) % modulus] = True
         return cls(modulus, mask)
 
     @property
@@ -179,7 +185,9 @@ class ResidueSet:
 @lru_cache(maxsize=512)
 def units_mask(m: int) -> np.ndarray:
     """Boolean mask of residues coprime to m."""
-    mask = np.gcd(np.arange(m, dtype=np.int64), m) == 1
+    mask = np.ones(m, dtype=bool)
+    for q, _ in factorize(m):
+        mask[::q] = False
     mask.setflags(write=False)
     return mask
 
@@ -194,13 +202,17 @@ def _unit_count(m: int) -> int:
     return euler_phi(m)
 
 
-def _pairwise_mask(m: int, left: np.ndarray, right: np.ndarray, op) -> np.ndarray:
+def _pairwise_mask(
+    m: int, left: np.ndarray, right: np.ndarray, op, *, dlog_fft: bool = True
+) -> np.ndarray:
     # Pigeonhole settles the large cases without a table. If |S| + |T| > m,
     # r - T meets S for every r, so S + T = Z_m. If the units of S and T
     # number more than phi(m) together, r * T_u^-1 meets S_u for every unit r,
     # so S_u T_u is every unit; the products with a non-unit operand are
     # non-units and are still computed. The size tests come first, so small
-    # operands pay nothing.
+    # operands pay nothing. A product mod a prime that pigeonhole leaves open
+    # may be one convolution (_dlog_product_mask) instead of the table;
+    # dlog_fft=False keeps it on the table.
     if op is np.add:
         if left.size + right.size > m:
             return np.ones(m, dtype=bool)
@@ -212,7 +224,62 @@ def _pairwise_mask(m: int, left: np.ndarray, right: np.ndarray, op) -> np.ndarra
             out |= _table_mask(m, left[~left_units], right, op)
             out |= _table_mask(m, left[left_units], right[~right_units], op)
             return out
+    if op is np.multiply and dlog_fft:
+        out = _dlog_product_mask(m, left, right)
+        if out is not None:
+            return out
     return _table_mask(m, left, right, op)
+
+
+def _fft_pays(cells: int, size: int) -> bool:
+    """The convolution replaces the table when the table has more cells than
+    the FFT of `size` points does butterflies, size * log2(size)."""
+    return cells > size * (size.bit_length() - 1)
+
+
+def _dlog_product_mask(m: int, left: np.ndarray, right: np.ndarray) -> Optional[np.ndarray]:
+    """The product mask mod a prime m from one linear convolution, or None
+    when the table path should run instead.
+
+    With g a primitive root, g^i * g^j = g^((i + j) mod (m - 1)), so the
+    nonzero products are the support of the cyclic convolution of the two
+    discrete-log indicators: a linear convolution of length 2(m - 1) - 1,
+    folded onto Z_(m-1). Its entries count pairs, integers at most
+    min(|S|, |T|). The float FFT errs by far less than 1/2 at these sizes,
+    so rounding recovers each count; a residual of 1/4 or more means
+    something went wrong, and the table runs instead. A product is 0 exactly
+    when one factor is 0.
+    """
+    n = m - 1
+    size = 1 << (2 * n - 2).bit_length()  # the least power of two >= 2n - 1
+    if not (
+        _fft_pays(left.size * right.size, size)
+        and size <= _FFT_POINTS
+        and m <= table_cap()
+        and is_prime(m)
+    ):
+        return None
+    dlog = build_field_context(m).dlog
+
+    def spectrum(operand: np.ndarray) -> np.ndarray:
+        indicator = np.zeros(n)
+        indicator[dlog[operand[operand != 0]]] = 1.0
+        return np.fft.rfft(indicator, size)
+
+    product = spectrum(left)
+    product *= spectrum(right)
+    conv = np.fft.irfft(product, size)
+    del product
+    counts = conv[:n]
+    counts[: n - 1] += conv[n : 2 * n - 1]
+    rounded = np.rint(counts)
+    counts -= rounded
+    if np.abs(counts, out=counts).max() >= 0.25:
+        return None
+    out = np.empty(m, dtype=bool)
+    out[0] = not (left.all() and right.all())  # the rule admits no empty operand
+    out[1:] = (rounded > 0)[dlog[1:]]
+    return out
 
 
 def _table_mask(m: int, left: np.ndarray, right: np.ndarray, op) -> np.ndarray:

@@ -9,11 +9,12 @@ from hypothesis import strategies as st
 
 import prodcong.growth
 import prodcong.residues
-from prodcong.arith import primes_in_range
+from prodcong.arith import floor_power, primes_in_range
 from prodcong.cli import main
 from prodcong.errors import DomainError, NotRepresentableError
 from prodcong.growth import (
     _chain,
+    _generated_order,
     _power_mod,
     build_generator_set,
     is_subgroup,
@@ -226,6 +227,39 @@ class TestPowerResidueIndex:
                 sub = ResidueSet.from_members(p, {pow(x, d, p) for x in range(1, p)})
                 ell = power_residue_index(sub)
                 assert ell * sub.cardinality == p - 1
+
+
+class TestPrimeCertificate:
+    """For a prime p the stabilized set is certified by element orders: it
+    holds 1 and as many members as the group A generates, lcm ord(a)."""
+
+    def test_every_prime_below_3000(self, monkeypatch):
+        def refuse(s):
+            raise AssertionError("the certificate needs no pass over the members")
+
+        checked = 0
+        for p in primes_in_range(2, 2999):
+            for cutoff in sorted({2, floor_power(p, 0.3), floor_power(p, 0.5)}):
+                gen = build_generator_set(p, cutoff=cutoff)
+                with monkeypatch.context() as mp:
+                    mp.setattr(prodcong.growth, "power_residue_index", refuse)
+                    rep = power_set_sequence(gen, n_max=p + 1, with_witness=False)
+                assert rep.stabilized
+                assert rep.ell == power_residue_index(rep.stable), (p, cutoff)
+                assert rep.subgroup_order == _generated_order(p, gen.base.members.tolist())
+                checked += 1
+        assert checked == 1278
+
+    def test_generated_order_matches_brute_force(self):
+        for p in (2, 3, 7, 13, 31, 61, 101):
+            for gens in ([1], [1, 2], [1, p - 1], [1, 3, 5], list(range(1, p))):
+                gens = [g % p for g in gens if g % p]
+                assert _generated_order(p, gens) == len(generated_subgroup(p, set(gens)))
+
+    def test_wrong_order_is_refused(self, monkeypatch):
+        monkeypatch.setattr(prodcong.growth, "_generated_order", lambda p, gens: p - 1)
+        with pytest.raises(AssertionError, match="generators generate"):
+            power_set_sequence(build_generator_set(7, cutoff=2))  # the squares, order 3
 
 
 class TestLeastPowerNonresidue:
@@ -530,3 +564,20 @@ class TestFrontierStep:
         certificate = calls["table"]
         product_set(rep.stable, build_generator_set(3931, cutoff=2).base)
         assert calls["table"] == 2 * certificate
+
+    def test_large_steps_keep_the_table(self, monkeypatch):
+        # at p = 1009 the first step multiplies A by A, 300 x 300 = 90000
+        # cells, over the 22528 at which a product set takes the convolution;
+        # a chain step still builds the table
+        def refuse(*args):
+            raise AssertionError("a chain step must not take the convolution")
+
+        monkeypatch.setattr(prodcong.residues, "_dlog_product_mask", refuse)
+        p = 1009
+        others = stream(p, "big-steps").choice(np.arange(2, p), 299, replace=False)
+        gens = np.sort(np.concatenate(([1], others)))
+        level, cards, n_stab = _chain(p, gens, p + 1)
+        expected_level, expected_cards, expected_n_stab = table_chain(p, gens, p + 1)
+        assert (level.tolist(), cards, n_stab) == (
+            expected_level.tolist(), expected_cards, expected_n_stab
+        )

@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 from itertools import permutations
 from math import gcd, prod
@@ -8,16 +9,21 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import prodcong.residues
+from prodcong.arith import TABLE_CAP_ENV, build_field_context, primes_in_range
 from prodcong.errors import DomainError
 from prodcong.residues import (
     Interval,
     ResidueSet,
+    _dlog_product_mask,
+    _pairwise_mask,
+    _table_mask,
     coverage_check,
     iterated_interval_product,
     product_set,
     scale_set,
     sum_set,
     triple_product_stats,
+    units_mask,
 )
 from prodcong.rng import stream
 from reference_witness import interval_product_witnesses
@@ -231,6 +237,152 @@ class TestPigeonhole:
         assert 7 not in members(product_set(odd, odd))
 
 
+PRIMES_BELOW_200 = primes_in_range(2, 199)
+
+
+@st.composite
+def prime_operands(draw):
+    """A prime p < 200 and two operands, each a random set of units, the empty
+    set, a singleton or the full unit group, with 0 added or not."""
+    p = draw(st.sampled_from(PRIMES_BELOW_200))
+
+    def operand():
+        kind = draw(st.sampled_from(["units", "empty", "singleton", "group"]))
+        if kind == "units":
+            xs = set(draw(st.lists(st.integers(1, p - 1), max_size=p)))
+        elif kind == "singleton":
+            xs = {draw(st.integers(0, p - 1))}
+        else:
+            xs = set(range(1, p)) if kind == "group" else set()
+        if draw(st.booleans()):
+            xs.add(0)
+        return xs
+
+    return p, operand(), operand()
+
+
+def as_operand(xs) -> np.ndarray:
+    return np.array(sorted(xs), dtype=np.int64)
+
+
+def count_calls(monkeypatch, name):
+    """Wrap a residues function and return the list its calls append to."""
+    calls = []
+    original = getattr(prodcong.residues, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(prodcong.residues, name, counted)
+    return calls
+
+
+def halves_of_units(p, seed):
+    """Two disjoint random sets of a third of the units mod p each: no
+    pigeonhole bound applies, and their table has more cells than the FFT."""
+    units = stream(p, seed).permutation(np.arange(1, p))
+    third = (p - 1) // 3
+    return np.sort(units[:third]), np.sort(units[third : 2 * third])
+
+
+class TestDlogProductPath:
+    """Products mod a prime from one discrete-log convolution must equal the
+    table and brute force, whatever path the kernel takes."""
+
+    @given(prime_operands())
+    def test_forced_path_matches_table_and_brute_force(self, case):
+        p, xs, ys = case
+        left, right = as_operand(xs), as_operand(ys)
+        expected = brute_product(p, xs, ys)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(prodcong.residues, "_fft_pays", lambda cells, size: cells > 0)
+            direct = _dlog_product_mask(p, left, right)
+            kernel = _pairwise_mask(p, left, right, np.multiply)
+            public = product_set(ResidueSet.from_members(p, xs), ResidueSet.from_members(p, ys))
+        if xs and ys:
+            assert set(np.flatnonzero(direct).tolist()) == expected
+        else:
+            assert direct is None  # an empty table is never worth a convolution
+        assert set(np.flatnonzero(kernel).tolist()) == expected
+        assert set(np.flatnonzero(_table_mask(p, left, right, np.multiply)).tolist()) == expected
+        assert members(public) == expected
+
+    @given(st.sampled_from(PRIMES_BELOW_200), st.data())
+    def test_forced_path_keeps_fold_witnesses(self, p, data):
+        intervals = [
+            Interval(data.draw(st.integers(-5, p - 1)), data.draw(st.integers(1, min(p, 30))), p)
+            for _ in range(data.draw(st.integers(2, 6)))
+        ]
+        expected = interval_product_witnesses(intervals)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(prodcong.residues, "_fft_pays", lambda cells, size: cells > 0)
+            assert iterated_interval_product(intervals, with_witness=True).witness == expected
+
+    def test_rule_picks_the_convolution_for_large_tables(self, monkeypatch):
+        p = 1009  # 2 * 1008 - 1 = 2015 points round up to L = 2048: 22528 butterflies
+        left, right = halves_of_units(p, "fft-rule")
+        assert left.size * right.size > 2048 * 11
+        tables = count_calls(monkeypatch, "_table_mask")
+        got = product_set(ResidueSet.from_members(p, left), ResidueSet.from_members(p, right))
+        assert tables == []
+        assert members(got) == brute_product(p, left.tolist(), right.tolist())
+        few = left[:20].tolist()
+        small = ResidueSet.from_members(p, few)
+        assert members(product_set(small, small)) == brute_product(p, few, few)
+        assert len(tables) == 1  # 400 cells: below the rule, the table runs
+
+    @pytest.mark.parametrize("shift, convolved", [(0.12, True), (0.13, False)])
+    def test_residual_guard_falls_back_to_the_table(self, monkeypatch, shift, convolved):
+        # every entry moves by shift, so the folded counts move by twice that:
+        # a residual of 0.24 keeps the convolution, 0.26 falls back
+        p = 1009
+        left, right = halves_of_units(p, "fft-guard")
+        irfft = np.fft.irfft
+        monkeypatch.setattr(np.fft, "irfft", lambda *a, **k: irfft(*a, **k) + shift)
+        tables = count_calls(monkeypatch, "_table_mask")
+        got = _pairwise_mask(p, left, right, np.multiply)
+        assert len(tables) == (0 if convolved else 1)
+        assert set(np.flatnonzero(got).tolist()) == brute_product(p, left.tolist(), right.tolist())
+
+    @pytest.mark.parametrize(
+        "m, cap, points", [(1001, None, None), (1009, 1008, None), (1009, None, 1024)]
+    )
+    def test_table_runs_where_the_convolution_may_not(self, monkeypatch, m, cap, points):
+        # composite m; a prime over PRODCONG_TABLE_CAP, where the dlog table
+        # would raise; and a prime whose L = 2048 is over the FFT point cap
+        def refuse(p):
+            raise AssertionError("the dlog table must not be built")
+
+        monkeypatch.setattr(prodcong.residues, "build_field_context", refuse)
+        monkeypatch.setattr(prodcong.residues, "_fft_pays", lambda cells, size: cells > 0)
+        if cap is not None:
+            monkeypatch.setenv(TABLE_CAP_ENV, str(cap))
+        if points is not None:
+            monkeypatch.setattr(prodcong.residues, "_FFT_POINTS", points)
+        xs = {x for x in range(0, m, 7)}
+        ys = {x for x in range(1, m, 11)}
+        got = product_set(ResidueSet.from_members(m, xs), ResidueSet.from_members(m, ys))
+        assert members(got) == brute_product(m, xs, ys)
+
+    def test_buffers_bounded_at_the_point_cap(self, monkeypatch):
+        # p = 2**19 - 1 needs 2 * (p - 1) - 1 < 2**20 = L points. Two intervals
+        # of 200000 units: a 4 * 10**10-cell table, which must not run.
+        p = (1 << 19) - 1
+        assert 2 * (p - 1) - 1 <= prodcong.residues._FFT_POINTS == 1 << 20
+        build_field_context(p)  # the dlog table is kept per prime, outside this bound
+        monkeypatch.setattr(prodcong.residues, "_table_mask", None)
+        left = right = Interval(0, 200000, p).members()
+        tracemalloc.start()
+        try:
+            got = _pairwise_mask(p, left, right, np.multiply)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert got[1] and got[200000] and not got[0]
+        assert peak < 4 * 8 * (1 << 20)  # four float64 vectors of L points (measured: 2.5)
+
+
 class TestIteratedProduct:
     def test_single_interval(self):
         w = iterated_interval_product([Interval(0, 2, 11)], with_witness=True)
@@ -395,6 +547,41 @@ class TestTripleProductStats:
     def test_zero_interval_rejected(self):
         with pytest.raises(DomainError):
             triple_product_stats(Interval(6, 2, 7), Interval(0, 2, 7), Interval(0, 2, 7), 7)
+
+
+class TestFromMembers:
+    @given(
+        st.integers(1, 600),
+        st.lists(st.one_of(st.integers(-2000, 2000), st.integers(-(2**70), 2**70)), max_size=40),
+    )
+    def test_every_input_kind_gives_the_same_mask(self, m, values):
+        def mask(members):
+            return ResidueSet.from_members(m, members).mask
+
+        expected = np.zeros(m, dtype=bool)
+        expected[[v % m for v in values]] = True
+        assert np.array_equal(mask(values), expected)
+        assert np.array_equal(mask(v for v in values), expected)
+        assert np.array_equal(mask(np.array(values, dtype=object)), expected)
+        for dtype in (np.int64, np.int32, np.int8, np.uint64, np.uint16):
+            info = np.iinfo(dtype)
+            fits = [v for v in values if info.min <= v <= info.max]
+            assert np.array_equal(mask(np.array(fits, dtype=dtype)), mask(fits))
+
+    def test_negative_and_huge_members(self):
+        values = [-1, -(10**6), 2**63 + 5, 2**64 - 1, 10**30, 0]
+        expected = {v % 97 for v in values}
+        assert members(ResidueSet.from_members(97, values)) == expected
+        assert members(ResidueSet.from_members(97, np.array(values[:2]))) == {96, -(10**6) % 97}
+        assert members(ResidueSet.from_members(97, np.array([2**64 - 1], dtype=np.uint64))) == {
+            (2**64 - 1) % 97
+        }
+
+
+class TestUnitsMask:
+    def test_matches_gcd_mask(self):
+        for m in [*range(1, 3001), 1000003]:
+            assert np.array_equal(units_mask(m), np.gcd(np.arange(m), m) == 1), m
 
 
 class TestInterop:
