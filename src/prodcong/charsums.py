@@ -2,9 +2,12 @@
 
 Characters are realized through the discrete-log table: chi_j(x) is the
 (j * dlog[x])-th root of unity of order p-1, chi_j(0) = 0, and j = 0 is the
-principal character. The collision count J (solutions of x1 y1 = x2 y2) is
-always computed exactly by multiplicity histogram; the character identity is
-evaluated numerically as an independent cross-check.
+principal character. A set's character sums are the DFT of its (real)
+discrete-log indicator, so |S(chi_{p-1-j})| = |S(chi_j)| and only
+j = 0..(p-1)/2 are computed, by one complex FFT of half length. The collision
+count J (solutions of x1 y1 = x2 y2) is always computed exactly by
+multiplicity histogram; the character identity is evaluated numerically as an
+independent cross-check and rounded to the integer it must equal.
 """
 
 from __future__ import annotations
@@ -23,23 +26,43 @@ from .residues import Interval, ResidueSet, product_set
 Values = Union[Interval, ResidueSet, Iterable[int]]
 
 
-# One spectrum holds p-1 float64 magnitudes (8 MB near p = 10**6). A charsum
-# row asks for the spectrum of {1..len} three times (the profile, then X and Y
-# of the collision identity), so the last one is kept, keyed on the set.
+# One spectrum holds (p+1)/2 float64 magnitudes (4 MB near p = 10**6). A
+# charsum row asks for the spectrum of {1..len} three times (the profile, then
+# X and Y of the collision identity), so the last one is kept, keyed on the set.
 _last_spectrum: tuple[tuple, np.ndarray] | None = None
+
+_UNTANGLE_BLOCK = 1 << 16  # bins per untangling pass, which bounds its temporaries
 
 
 def _dlog_spectrum(ctx: FieldContext, members: np.ndarray) -> np.ndarray:
-    """|DFT| of the dlog indicator of the units: entry j is |sum of chi_j|."""
+    """|DFT| of the dlog indicator of the units at j = 0..(p-1)//2: entry j is
+    |sum of chi_j|, which is also |sum of chi_{p-1-j}| (the indicator is real)."""
     global _last_spectrum
     key = (ctx.p, ctx.g, members.tobytes())
     last = _last_spectrum
     if last is not None and last[0] == key:
         return last[1]
     _last_spectrum = None  # drop the old spectrum before the FFT buffers exist
-    ind = np.zeros(ctx.p - 1)
-    ind[ctx.dlog[members]] = 1.0
-    mags = np.abs(np.fft.fft(ind))
+    n = ctx.p - 1
+    if n == 1:
+        mags = np.array([float(members.size)])
+    else:
+        half = n // 2
+        # Pack the indicator x as z[m] = x[2m] + i x[2m+1] and take Z = FFT(z).
+        # With Zc[k] = conj(Z[-k]), the even entries of x have the DFT (Z + Zc)/2
+        # and the odd entries (Z - Zc)/2i, so x has (Z + Zc - i w (Z - Zc))/2 at
+        # bin k < n/2, with the twiddle w = exp(-2 pi i k/n), and Re Z[0] - Im Z[0]
+        # at bin n/2.
+        z = np.zeros(half, dtype=np.complex128)
+        z.view(np.float64)[ctx.dlog[members]] = 1.0
+        np.fft.fft(z, out=z)
+        mags = np.empty(half + 1)
+        mags[half] = abs(z[0].real - z[0].imag)
+        for lo in range(0, half, _UNTANGLE_BLOCK):
+            k = np.arange(lo, min(lo + _UNTANGLE_BLOCK, half))
+            zk, zc = z[k], np.conj(z[-k])
+            w = np.exp(k * (-2j * np.pi / n))
+            mags[k] = 0.5 * np.abs(zk + zc - 1j * w * (zk - zc))
     mags.setflags(write=False)
     _last_spectrum = (key, mags)
     return mags
@@ -107,14 +130,25 @@ def product_energy_via_characters(
     """Evaluate (1/(p-1)) * sum over all characters of |S_X(chi)|^2 |S_Y(chi)|^2.
 
     The per-character sums are the DFT of the dlog-indicator vectors, so the
-    whole spectrum comes from one FFT per set, and none when X = Y or the set's
-    spectrum is the one kept from the last call. Must agree with product_energy
-    within floating tolerance.
+    spectrum comes from one FFT per set, and none when X = Y or the set's
+    spectrum is the one kept from the last call. Characters j and p-1-j have
+    equal terms, so the half spectrum counts twice except at j = 0 and
+    (p-1)/2. The sum is a collision count, returned rounded to its integer
+    (as a float); it must equal product_energy, and a sum 0.25 or more from
+    every integer raises AssertionError.
     """
     p = ctx.p
     tx = _dlog_spectrum(ctx, _unit_members(x_values, p)) ** 2
     ty = _dlog_spectrum(ctx, _unit_members(y_values, p)) ** 2
-    return float((tx * ty).sum() / (p - 1))
+    terms = tx * ty
+    if terms.size > 1:
+        total = float(2.0 * terms.sum() - terms[0] - terms[-1]) / (p - 1)
+    else:
+        total = float(terms[0])
+    count = round(total)
+    if abs(total - count) >= 0.25:
+        raise AssertionError(f"character identity at p={p} is {total}, not an integer")
+    return float(count)
 
 
 def multiplicative_energy(limit: int, n0: int, p: int) -> int:
@@ -178,15 +212,21 @@ class CharProfile(NamedTuple):
 def burgess_profile(ctx: FieldContext, interval_len: int) -> CharProfile:
     """Worst normalized character sum over the initial interval {1..len}:
     max over nonprincipal chi of |sum chi(n)| / len, and the character index
-    attaining it (smallest such j). Measurement only."""
+    attaining it. Measurement only.
+
+    The index is the smallest j in 1..(p-1)/2 whose spectrum magnitude lies
+    within 1e-9 * len of the maximum (the conjugate p-1-j ties with j), and the
+    ratio is that character's sum taken directly, so neither depends on how
+    the FFT rounds."""
     p = ctx.p
     if not 1 <= interval_len < p:
         raise DomainError("interval length must satisfy 1 <= len < p")
     if p < 3:
         raise DomainError("no nonprincipal characters exist for p < 3")
-    mags = _dlog_spectrum(ctx, np.arange(1, interval_len + 1))
-    j = 1 + int(np.argmax(mags[1:]))
-    return CharProfile(float(mags[j] / interval_len), j)
+    members = np.arange(1, interval_len + 1)
+    mags = _dlog_spectrum(ctx, members)[1:]
+    j = 1 + int(np.argmax(mags >= mags.max() - 1e-9 * interval_len))
+    return CharProfile(abs(char_sum(ctx, j, members)) / interval_len, j)
 
 
 @dataclass(frozen=True)

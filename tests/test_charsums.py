@@ -7,9 +7,10 @@ from math import prod, sqrt
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
+from prodcong import charsums
 from prodcong.arith import FieldContext, build_field_context, primes_in_range
 from prodcong.charsums import (
     _dlog_spectrum,
@@ -54,6 +55,12 @@ def energy_instance(draw):
     xs = draw(st.permutations(units)).copy()[:kx]
     ys = draw(st.permutations(units)).copy()[:ky]
     return p, sorted(xs), sorted(ys)
+
+
+@st.composite
+def unit_set(draw):
+    p = draw(st.sampled_from(primes_in_range(3, 499)))
+    return p, draw(st.sets(st.integers(1, p - 1), min_size=1, max_size=40))
 
 
 class TestCharSum:
@@ -216,6 +223,22 @@ class TestSpectrumMemo:
         gc.collect()
         assert sum(ref() is not None for ref in refs) <= 1
 
+    def test_kept_spectrum_dropped_before_the_fft(self, monkeypatch):
+        # near p = 10**6 the kept spectrum is 4 MB, released before the next
+        # transform allocates its buffers
+        ctx = build_field_context(1009)
+        _dlog_spectrum(ctx, np.arange(1, 6))
+        kept_during_fft = []
+        fft = np.fft.fft
+
+        def checking_fft(a, *rest, **kw):
+            kept_during_fft.append(charsums._last_spectrum)
+            return fft(a, *rest, **kw)
+
+        monkeypatch.setattr(np.fft, "fft", checking_fft)
+        _dlog_spectrum(ctx, np.arange(1, 7))
+        assert kept_during_fft == [None]
+
     def test_generator_is_part_of_the_key(self):
         # the same set under another primitive root permutes the characters
         p = 11
@@ -226,6 +249,82 @@ class TestSpectrumMemo:
                 range(1, p - 1), key=lambda j: (round(abs(char_sum(c, j, [1, 2, 3])), 9), -j)
             )
             assert burgess_profile(c, 3).argmax_j == expected
+
+
+class TestHalfSpectrum:
+    @given(unit_set())
+    @example((3, {2}))  # p = 3: bins 0 and (p-1)/2 are the whole spectrum
+    @example((3, {1, 2}))
+    def test_matches_direct_sums(self, case):
+        p, members = case
+        ctx = build_field_context(p)
+        spectrum = _dlog_spectrum(ctx, np.array(sorted(members)))
+        assert spectrum.size == (p - 1) // 2 + 1
+        for j in range(spectrum.size):
+            assert spectrum[j] == pytest.approx(abs(char_sum(ctx, j, members)), abs=1e-9)
+
+    @pytest.mark.parametrize(
+        "p,block", [(101, 1), (1009, 7), (1009, 504), (262147, 1 << 16)]
+    )
+    def test_blocks_match_full_fft(self, monkeypatch, p, block):
+        # untangling in blocks of any size gives the first half of the
+        # full-length spectrum; 262147 spans three default blocks
+        monkeypatch.setattr(charsums, "_UNTANGLE_BLOCK", block)
+        monkeypatch.setattr(charsums, "_last_spectrum", None)
+        ctx = build_field_context(p)
+        members = np.array([1, 2, 3, 5, 8, 13, p - 2, p - 1])
+        ind = np.zeros(p - 1)
+        ind[ctx.dlog[members]] = 1.0
+        full = np.abs(np.fft.fft(ind))
+        np.testing.assert_allclose(
+            _dlog_spectrum(ctx, members), full[: (p - 1) // 2 + 1], rtol=0, atol=1e-9
+        )
+
+    def test_p2_has_one_bin(self):
+        ctx = build_field_context(2)
+        assert _dlog_spectrum(ctx, np.array([1])).tolist() == [1.0]
+        assert _dlog_spectrum(ctx, np.array([], dtype=np.int64)).tolist() == [0.0]
+
+    @given(energy_instance())
+    @example((3, [1, 2], [2]))  # p = 3: no bin counts twice
+    def test_identity_is_exact(self, case):
+        p, xs, ys = case
+        ctx = build_field_context(p)
+        assert product_energy_via_characters(ctx, xs, ys) == product_energy(xs, ys, p)
+
+    def test_identity_is_exact_at_p2(self):
+        ctx = build_field_context(2)
+        assert product_energy_via_characters(ctx, [1], [1]) == product_energy([1], [1], 2) == 1
+        assert product_energy_via_characters(ctx, [], [1]) == product_energy([], [1], 2) == 0
+
+    @pytest.mark.parametrize(
+        "residual,raises", [(0.24, False), (-0.24, False), (0.26, True), (-0.26, True)]
+    )
+    def test_residual_guard(self, monkeypatch, residual, raises):
+        # at p = 5 the bins j = 0, 1, 2 weigh 1, 2, 1, so a spectrum whose one
+        # nonzero bin is a at j = 0 gives the identity the value a**4 / 4
+        value = 3 + residual
+        fake = np.array([(4 * value) ** 0.25, 0.0, 0.0])
+        monkeypatch.setattr(charsums, "_dlog_spectrum", lambda ctx, members: fake)
+        ctx = build_field_context(5)
+        if raises:
+            with pytest.raises(AssertionError):
+                product_energy_via_characters(ctx, [1], [1])
+        else:
+            assert product_energy_via_characters(ctx, [1], [1]) == 3.0
+
+    def test_profile_memory_is_bounded(self, monkeypatch):
+        # the packed transform and the blockwise untangling stay under the
+        # 38 MiB that one full-length complex FFT took at this prime
+        ctx = build_field_context(999983)
+        monkeypatch.setattr(charsums, "_last_spectrum", None)
+        tracemalloc.start()
+        try:
+            burgess_profile(ctx, 33)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 38 * 2**20
 
 
 class TestMultiplicativeEnergy:
@@ -317,6 +416,18 @@ class TestBurgessProfile:
         ctx = build_field_context(7)
         with pytest.raises(DomainError):
             burgess_profile(ctx, 7)
+
+    def test_argmax_is_smallest_index(self):
+        # conjugate characters tie, so the index never passes (p-1)/2
+        for p in primes_in_range(3, 299):
+            ctx = build_field_context(p)
+            for length in range(1, min(12, p - 1) + 1):
+                sums = [abs(char_sum(ctx, j, range(1, length + 1))) for j in range(1, p - 1)]
+                top = max(sums)
+                expected = 1 + next(i for i, v in enumerate(sums) if v >= top - 1e-9)
+                argmax = burgess_profile(ctx, length).argmax_j
+                assert argmax <= (p - 1) // 2
+                assert argmax == expected, (p, length)
 
 
 class TestEnergyDiagnostic:
