@@ -279,6 +279,10 @@ def cmd_coverage(args) -> tuple[Report, int]:
     p = _parse_prime(args.p)
     if args.random < 1:
         raise DomainError("--random must be >= 1")
+    if p < 5:
+        # sizes are drawn from 1..p-1 until their product exceeds p**3,
+        # which (p-1)**4 <= p**3 rules out
+        raise DomainError("coverage needs p >= 5")
     gen = stream(args.seed, f"coverage-p{p}")
     units = np.arange(1, p)
     rows = []

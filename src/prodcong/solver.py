@@ -17,22 +17,16 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .arith import floor_power, is_prime
 from .errors import DomainError
-from .residues import Interval, iterated_interval_product
+from .residues import Interval, ResidueSet, iterated_interval_product
 from .rng import stream
 
 LEFT_ARITY = 6
 RIGHT_ARITY = 7
 _FAILURE_SAMPLE_CAP = 20
 
-# A full-grid scan (abc_scan) takes the direct path while
-# |L||R| * _BLAS_SPEEDUP < p**2 and the count path above it; float32 counts
-# are exact only for p < _FLOAT32_EXACT. A direct block holds at most
-# _DIRECT_CELLS int64 cells, and a count block (indicator rows, circulant
-# columns) at most _COUNT_CELLS float32 cells.
-_BLAS_SPEEDUP = 256
-_DIRECT_CELLS = 1 << 18
-_COUNT_CELLS = 1 << 21
-_FLOAT32_EXACT = 1 << 24
+# A block of abc_scan's grid holds at most this many cells: uint64 words of
+# packed rows, or (pair, r) cells of a sampled scan.
+_BLOCK_CELLS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -163,66 +157,69 @@ class ScanResult:
     failure_count: int
 
 
-def _grid_blocks(p: int, left: np.ndarray, right: np.ndarray):
-    """Yield (b0, ok) over consecutive blocks of b in 1..p-1, where
-    ok[i, c] says whether c lies in left + (b0 + i) * right (mod p).
+def _sum_rows(p: int, left_mask: np.ndarray, right: np.ndarray, bs: np.ndarray):
+    """Yield (b, rows) over consecutive blocks of the b values bs, where bit c
+    of rows[i] (bit c % 64 of word c // 64) says whether c lies in
+    left + b[i] * right (mod p). Bit 0 and every bit at p or above are clear.
 
-    Small tables take the direct path and large ones the count path (see
-    abc_scan).
+    The row of b is the OR over r in right of the left mask shifted by b*r:
+    bit c of the mask shifted by s is 1_left(c - s mod p), the whole W-word
+    window of the periodic mask 1_left(i mod p) that starts at bit
+    t = -s mod p. Row k of `copies` holds that mask shifted down by k bits,
+    so the window is copies[t % 64, t // 64 : t // 64 + W].
     """
-    if left.size * right.size * _BLAS_SPEEDUP < p * p or p >= _FLOAT32_EXACT:
-        yield from _direct_blocks(p, left, right)
-    else:
-        yield from _count_blocks(p, left, right)
+    width = -(-p // 64)
+    words = np.packbits(np.resize(left_mask, 128 * width), bitorder="little").view("<u8")
+    k = np.arange(64, dtype=np.uint64)[:, None]
+    # words << (64 - k), written as two shifts below 64 so that k = 0 gives 0
+    copies = (words[:-1] >> k) | ((words[1:] << np.uint64(1)) << (np.uint64(63) - k))
+    windows = sliding_window_view(copies.reshape(-1), width)
+    starts = np.arange(p)
+    offsets = (starts % 64) * copies.shape[1] + starts // 64
+    tail = np.uint64((1 << (p % 64)) - 1)
+    step = max(1, _BLOCK_CELLS // width)
+    for i in range(0, bs.size, step):
+        b = bs[i : i + step]
+        rows = np.zeros((b.size, width), dtype=np.uint64)
+        # the window offsets of a chunk of r values are looked up at once
+        chunk = max(1, _BLOCK_CELLS // b.size)
+        for r0 in range(0, right.size, chunk):
+            for row_offsets in offsets[np.multiply.outer(right[r0 : r0 + chunk], p - b) % p]:
+                rows |= windows[row_offsets]
+        rows[:, 0] &= ~np.uint64(1)
+        rows[:, -1] &= tail
+        yield b, rows
 
 
-def _direct_blocks(p: int, left: np.ndarray, right: np.ndarray):
-    # Row i of a block scatters left + (b0+i)*right, unreduced (values below
-    # 2p), into its own 2p-wide stretch of one flat mask; the two halves of
-    # each stretch are then folded into residues mod p. The cap bounds both
-    # the table (|left||right| cells per row) and the mask (2p per row).
-    width = 2 * p
-    step = max(1, min(p - 1, _DIRECT_CELLS // max(left.size * right.size, width)))
-    shifted = left[None, :] + width * np.arange(step)[:, None]
-    buf = np.empty((step, left.size, right.size), dtype=np.int64)
-    for b0 in range(1, p, step):
-        rows = min(step, p - b0)
-        scaled = np.multiply.outer(np.arange(b0, b0 + rows), right) % p
-        cells = buf[:rows]
-        np.add(shifted[:rows, :, None], scaled[:, None, :], out=cells)
-        hit = np.zeros(rows * width, dtype=bool)
-        hit[cells.reshape(-1)] = True
-        hit = hit.reshape(rows, 2, p)
-        yield b0, hit[:, 0] | hit[:, 1]
+def _grid_failures(p: int, prod_l: ResidueSet, prod_r: ResidueSet, bs: np.ndarray, cap: int):
+    """(failure_count, failures, open) over the rows b in bs of the (b, c)
+    grid, c in 1..p-1, with L = prod_l and R = prod_r: the first `cap`
+    failures (1, b, c) in ascending (b, c) order, and the b values whose row
+    has a failure. When |L| + |R| > p every L + b*R is all of Z_p
+    (pigeonhole: c - b*R meets L) and no row is built."""
+    failure_count = 0
+    failures: list[tuple[int, int, int]] = []
+    open_rows = [bs[:0]]
+    if prod_l.cardinality + prod_r.cardinality > p:
+        return failure_count, failures, bs[:0]
+    for b, rows in _sum_rows(p, prod_l.mask, prod_r.members, bs):
+        misses = (p - 1) - np.bitwise_count(rows).sum(axis=1, dtype=np.int64)
+        failure_count += int(misses.sum())
+        open_rows.append(b[misses > 0])
+        for i in np.flatnonzero(misses)[: cap - len(failures)].tolist():
+            bits = np.unpackbits(rows[i].astype("<u8").view(np.uint8), bitorder="little")
+            cs = np.flatnonzero(bits[1:p] == 0) + 1
+            failures += [(1, int(b[i]), c) for c in cs[: cap - len(failures)].tolist()]
+    return failure_count, failures, np.concatenate(open_rows)
 
 
-def _count_blocks(p: int, left: np.ndarray, right: np.ndarray):
-    # counts[b, c] = #{r in right : c - b*r in left} is the product of the
-    # indicator rows of b*right with the circulant C[x, c] = 1_left(c - x).
-    # Entries and partial sums are integers at most |right| < p < 2**24, so
-    # float32 holds every one exactly in any summation order.
-    left_twice = np.zeros(2 * p, dtype=np.float32)
-    left_twice[left] = 1
-    left_twice[p:] = left_twice[:p]
-    # The windows are left_twice[i + c]; row x of windows[p:0:-1] is i = p - x,
-    # that is 1_left(c - x mod p) for c in 0..p-1.
-    circulant = sliding_window_view(left_twice, p)[p:0:-1]
-    width = max(1, _COUNT_CELLS // p)
-    step = min(p - 1, width)
-
-    def column_blocks():
-        for c0 in range(0, p, width):
-            yield c0, np.ascontiguousarray(circulant[:, c0 : c0 + width])
-
-    for b0 in range(1, p, step):
-        rows = min(step, p - b0)
-        scaled = np.multiply.outer(np.arange(b0, b0 + rows), right) % p
-        indicators = np.zeros((rows, p), dtype=np.float32)
-        indicators[np.arange(rows)[:, None], scaled] = 1
-        ok = np.empty((rows, p), dtype=bool)
-        for c0, block in column_blocks():
-            np.greater(indicators @ block, 0, out=ok[:, c0 : c0 + block.shape[1]])
-        yield b0, ok
+def _scan_products(p: int, lengths: Sequence[int]):
+    """The left and right products of the intervals {1..len_j}."""
+    intervals = [Interval(0, n, p) for n in lengths]
+    return (
+        iterated_interval_product(intervals[:LEFT_ARITY]),
+        iterated_interval_product(intervals[LEFT_ARITY:]),
+    )
 
 
 def abc_scan(
@@ -236,29 +233,19 @@ def abc_scan(
     a is fixed to 1: solvability of (a, b, c) equals that of
     (1, b*a^-1, c*a^-1) with the same witness, so the (b, c) grid covers all
     triples. Without `sample` the full grid is enumerated; with it, `sample`
-    seeded pairs are drawn (duplicates allowed). Failures are recorded as
-    (1, b, c) triples in ascending (b, c) order, capped at 20 with the full
-    count alongside.
+    seeded pairs are drawn (duplicates allowed, and counted in
+    failure_count). Failures are recorded as (1, b, c) triples in ascending
+    (b, c) order, capped at 20 with the full count alongside.
 
     With L and R the left and right products, the full grid decides c in
-    L + b*R for blocks of b at once, by one of two exact paths:
-
-    - direct, while |L||R| * 256 < p**2: one int64 table of L + b*R per block
-      of rows b, each row offset into its own 2p-wide stretch of one flat
-      mask and scattered; a block has at most 2**18 table cells and 2**18
-      mask cells (unless it is a single row);
-    - count, above that: counts[b, c] = #{r in R : c - b*r in L} as the
-      float32 matrix product of the indicator rows of b*R with the circulant
-      C[x, c] = 1_L(c - x). Every entry and partial sum is an integer at most
-      |R| < p, and float32 represents every integer below 2**24 exactly, so
-      the counts are exact in any summation order; for p >= 2**24 the direct
-      path runs instead. Indicator blocks and circulant column blocks hold at
-      most 2**21 cells, so no p x p array is built when p is large.
-
-    The count path does p**2 multiply-adds per b where the direct path does
-    |L||R| scattered writes, and a BLAS multiply-add costs about 1/256 of a
-    scattered write, hence the rule. When |L| + |R| > p, every L + b*R is
-    all of Z_p (pigeonhole: c - b*R meets L) and no table is built.
+    L + b*R exactly, one block of rows b at a time: row b is packed as
+    ceil(p/64) uint64 words, the OR over r in R of the bitmask of L shifted
+    by b*r, and its solvable count is its number of set bits. A block holds
+    at most 2**16 words (unless it is a single row), so no p x p array is
+    built when p is large, and only rows with a failure are unpacked, until
+    20 failures are found. When |L| + |R| > p, every L + b*R is all of Z_p
+    (pigeonhole: c - b*R meets L) and no row is built. A sampled scan decides
+    its pairs in chunks of at most 2**16 (pair, r) cells.
     """
     if not is_prime(p):
         raise DomainError("modulus must be prime")
@@ -267,48 +254,30 @@ def abc_scan(
         raise DomainError("need 13 interval lengths")
     if any(not 1 <= n <= p - 1 for n in lengths):
         raise DomainError("lengths must satisfy 1 <= len < p")
-    intervals = [Interval(0, n, p) for n in lengths]
-    prod_l = iterated_interval_product(intervals[:LEFT_ARITY])
-    prod_r = iterated_interval_product(intervals[LEFT_ARITY:])
-    l_members = prod_l.members
-    r_members = prod_r.members
-
-    failures: list[tuple[int, int, int]] = []
-    failure_count = 0
-    solvable = 0
+    prod_l, prod_r = _scan_products(p, lengths)
     if sample is None:
         total = (p - 1) ** 2
-        if l_members.size + r_members.size > p:
-            # pigeonhole: c - b*R meets L for every (b, c), so no table
-            solvable = total
-        else:
-            for b0, ok in _grid_blocks(p, l_members, r_members):
-                ok = ok[:, 1:]
-                hits = int(np.count_nonzero(ok))
-                solvable += hits
-                failure_count += ok.size - hits
-                if hits < ok.size and len(failures) < _FAILURE_SAMPLE_CAP:
-                    rows, cols = np.nonzero(~ok)
-                    take = _FAILURE_SAMPLE_CAP - len(failures)
-                    failures += [
-                        (1, b0 + i, c + 1)
-                        for i, c in zip(rows[:take].tolist(), cols[:take].tolist())
-                    ]
+        failure_count, failures, _ = _grid_failures(
+            p, prod_l, prod_r, np.arange(1, p), _FAILURE_SAMPLE_CAP
+        )
     else:
         if sample < 1:
             raise DomainError("sample must be >= 1")
         total = sample
         gen = stream(seed, f"abc-scan-p{p}")
         pairs = gen.integers(1, p, size=(sample, 2))
-        left_mask = prod_l.mask
-        hits = []
-        for b, c in pairs.tolist():
-            hit = bool(left_mask[(c - b * r_members) % p].any())
-            solvable += hit
-            if not hit:
-                hits.append((1, int(b), int(c)))
-        failure_count = len(hits)
-        failures = sorted(set(hits))[:_FAILURE_SAMPLE_CAP]
+        r_members = prod_r.members
+        step = max(1, _BLOCK_CELLS // r_members.size)
+        hit = np.concatenate(
+            [
+                prod_l.mask[(c[:, None] - b[:, None] * r_members) % p].any(axis=1)
+                for b, c in (pairs[i : i + step].T for i in range(0, sample, step))
+            ]
+        )
+        missed = pairs[~hit]
+        failure_count = len(missed)
+        failures = [(1, b, c) for b, c in np.unique(missed, axis=0)[:_FAILURE_SAMPLE_CAP].tolist()]
+    solvable = total - failure_count
     return ScanResult(
         p=p,
         lengths=lengths,
@@ -336,6 +305,8 @@ def threshold_scan(p: int, max_len: Optional[int] = None) -> ThresholdResult:
     monotone: {1..n} is a subset of {1..n+1}, so the left and right products
     nest, L_n within L_{n+1} and R_n within R_{n+1}, and every (b, c) with c
     in L_n + b*R_n stays solvable at n+1; the solvable count never drops.
+    So a row b without a failure at length n has none at any longer length,
+    and each length scans only the rows that still had a failure.
     Length p-1 always succeeds for p >= 3 (for p = 2 no length works and
     minimal_len is None).
     """
@@ -344,12 +315,16 @@ def threshold_scan(p: int, max_len: Optional[int] = None) -> ThresholdResult:
     max_len = p - 1 if max_len is None else min(max_len, p - 1)
     if max_len < 1:
         raise DomainError("max_len must be >= 1")
+    total = (p - 1) ** 2
+    open_rows = np.arange(1, p)
     curve = []
     minimal = None
     for n in range(1, max_len + 1):
-        res = abc_scan(p, [n] * (LEFT_ARITY + RIGHT_ARITY))
-        curve.append(ScanRow(n, res.total, res.solvable, res.fraction))
-        if res.solvable == res.total:
+        prod_l, prod_r = _scan_products(p, [n] * (LEFT_ARITY + RIGHT_ARITY))
+        failure_count, _, open_rows = _grid_failures(p, prod_l, prod_r, open_rows, 0)
+        solvable = total - failure_count
+        curve.append(ScanRow(n, total, solvable, solvable / total))
+        if failure_count == 0:
             minimal = n
             break
     return ThresholdResult(p, minimal, tuple(curve))

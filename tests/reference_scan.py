@@ -1,13 +1,16 @@
-"""Reference full-grid scan kept for the equivalence tests.
+"""Reference scans kept for the equivalence tests.
 
-This is the direct per-b version of abc_scan's full (b, c) grid: every b gets
-its own |L| x |R| table of L + b*R, and a Python loop walks the failing c.
-The library scans blocks of b at once; the tests check both agree.
+full_grid_scan is the direct per-b version of abc_scan's full (b, c) grid:
+every b gets its own |L| x |R| table of L + b*R, and a Python loop walks the
+failing c. sampled_scan decides abc_scan's seeded sample one pair per
+iteration. The library scans blocks of b, or chunks of pairs, at once; the
+tests check both agree.
 """
 
 import numpy as np
 
 from prodcong.residues import Interval, iterated_interval_product
+from prodcong.rng import stream
 
 FAILURE_SAMPLE_CAP = 20
 
@@ -33,3 +36,18 @@ def full_grid_scan(p, lengths):
                 if len(failures) < FAILURE_SAMPLE_CAP:
                     failures.append((1, b, int(c)))
     return (p - 1) ** 2, solvable, tuple(failures), failure_count
+
+
+def sampled_scan(p, lengths, sample, seed):
+    """(total, solvable, failures, failure_count) of `sample` seeded pairs,
+    drawn as abc_scan draws them; a repeated failing pair counts each time."""
+    intervals = [Interval(0, n, p) for n in lengths]
+    left_mask = iterated_interval_product(intervals[:6]).mask
+    r_members = iterated_interval_product(intervals[6:]).members
+    pairs = stream(seed, f"abc-scan-p{p}").integers(1, p, size=(sample, 2))
+    misses = []
+    for b, c in pairs.tolist():
+        if not left_mask[(c - b * r_members) % p].any():
+            misses.append((1, b, c))
+    failures = tuple(sorted(set(misses))[:FAILURE_SAMPLE_CAP])
+    return sample, sample - len(misses), failures, len(misses)

@@ -298,6 +298,13 @@ class TestCoverageCommand:
         assert code == 2
         assert "--random" in err
 
+    @pytest.mark.parametrize("p", ["2", "3"])
+    def test_primes_below_five_rejected(self, capsys, p):
+        # no sizes in 1..p-1 have a product above p**3, so no trial can be drawn
+        code, out, err = run(capsys, ["coverage", "--p", p, "--random", "1"])
+        assert (code, out) == (2, "")
+        assert "p >= 5" in err
+
 
 class TestRepresentCommand:
     def test_unit_example(self, capsys):

@@ -21,7 +21,7 @@ from prodcong.solver import (
     twelve_interval_instance,
     verify_witness,
 )
-from reference_scan import full_grid_scan
+from reference_scan import full_grid_scan, sampled_scan
 
 
 def prefix(n, p):
@@ -252,8 +252,14 @@ class TestAbcScan:
             abc_scan(5, [1] * 12)
 
 
+# word boundaries of the packed rows (64 bits a word) and the two smallest primes
+BOUNDARY_PRIMES = [2, 3, 61, 67, 127, 131, 191, 193, 257]
+
+
 def scan_case(draw_data):
-    p = draw_data.draw(st.sampled_from(primes_in_range(2, 200)))
+    p = draw_data.draw(
+        st.one_of(st.sampled_from(BOUNDARY_PRIMES), st.sampled_from(primes_in_range(2, 200)))
+    )
     lengths = draw_data.draw(
         st.lists(st.integers(1, min(p - 1, 8)), min_size=13, max_size=13)
     )
@@ -265,12 +271,13 @@ def scan_tuple(p, lengths):
     return res.total, res.solvable, res.failures, res.failure_count
 
 
-def refuse(*args):
-    raise AssertionError("this path must not run here")
+def sample_tuple(p, lengths, sample, seed):
+    res = abc_scan(p, lengths, sample=sample, seed=seed)
+    return res.total, res.solvable, res.failures, res.failure_count
 
 
 class TestGridKernel:
-    """The block kernel against the per-b reference scan."""
+    """The packed-row kernel against the per-b reference scan."""
 
     @settings(deadline=None)
     @given(st.data())
@@ -280,42 +287,45 @@ class TestGridKernel:
 
     @settings(max_examples=40, deadline=None)
     @given(st.data())
-    def test_each_path_and_block_size_matches_reference(self, data):
+    def test_one_row_blocks_match_reference(self, data):
         p, lengths = scan_case(data)
         expected = full_grid_scan(p, lengths)
-        # speedup 0 forces the direct path and a huge one the count path;
-        # a 1-cell cap gives 1-row blocks (and 1-column circulant blocks)
-        for speedup in (0, 1 << 40):
-            for cells in (1, 2 * p + 1, p * p):
-                with pytest.MonkeyPatch.context() as mp:
-                    mp.setattr(prodcong.solver, "_BLAS_SPEEDUP", speedup)
-                    mp.setattr(prodcong.solver, "_DIRECT_CELLS", cells)
-                    mp.setattr(prodcong.solver, "_COUNT_CELLS", cells)
-                    assert scan_tuple(p, lengths) == expected
+        # a 1-cell block holds one row and looks up one r at a time; three
+        # rows' worth leaves a short last block
+        for cells in (1, 3 * -(-p // 64)):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(prodcong.solver, "_BLOCK_CELLS", cells)
+                assert scan_tuple(p, lengths) == expected
 
-    def test_count_path_at_default_rule(self, monkeypatch):
-        # |L||R| = 135 * 189 is far above p**2 / 256 here
-        monkeypatch.setattr(prodcong.solver, "_direct_blocks", refuse)
+    def test_dense_grid_at_mid_prime_matches_reference(self):
+        # |L| = 135, |R| = 189: many shifts per row, 16 words a row
         lengths = [5] * 13
         assert scan_tuple(1009, lengths) == full_grid_scan(1009, lengths)
 
-    def test_large_primes_fall_back_to_direct(self, monkeypatch):
-        monkeypatch.setattr(prodcong.solver, "_BLAS_SPEEDUP", 1 << 40)
-        monkeypatch.setattr(prodcong.solver, "_FLOAT32_EXACT", 97)
-        monkeypatch.setattr(prodcong.solver, "_count_blocks", refuse)
-        lengths = [2] * 6 + [3] * 7
-        assert scan_tuple(97, lengths) == full_grid_scan(97, lengths)
+    def test_rows_are_exact_bitmasks(self):
+        # bit c of row b is [c in L + b*R], with bit 0 and bits >= p clear
+        for p in BOUNDARY_PRIMES[2:]:
+            left = np.zeros(p, dtype=bool)
+            left[[1, 2, 5, p - 1]] = True
+            right = np.array([1, 3, p - 2])
+            bs = np.arange(1, p)
+            rows = np.concatenate([r for _, r in prodcong.solver._sum_rows(p, left, right, bs)])
+            bits = np.unpackbits(rows.astype("<u8").view(np.uint8), bitorder="little")
+            bits = bits.reshape(p - 1, -1)
+            expected = np.zeros_like(bits)
+            for b in bs.tolist():
+                sums = (np.flatnonzero(left)[:, None] + b * right[None, :]) % p
+                expected[b - 1, sums.reshape(-1)] = 1
+            expected[:, 0] = 0
+            assert np.array_equal(bits, expected)
 
-
-    def test_direct_blocks_stay_within_cap_for_short_lengths(self):
-        # L = R = {1}: a row's table is one cell, so only the 2p-wide mask
-        # can bound the block, and every b would fit in one block otherwise
+    def test_blocks_stay_within_cap(self):
         p = 10007
-        one = np.array([1])
-        cap = prodcong.solver._DIRECT_CELLS
-        rows = [ok.shape[0] for _, ok in prodcong.solver._direct_blocks(p, one, one)]
-        assert sum(rows) == p - 1
-        assert max(rows) * 2 * p <= cap
+        left = np.zeros(p, dtype=bool)
+        left[1] = True
+        blocks = [rows.shape for _, rows in prodcong.solver._sum_rows(p, left, np.array([1]), np.arange(1, p))]
+        assert sum(rows for rows, _ in blocks) == p - 1
+        assert max(rows * width for rows, width in blocks) <= prodcong.solver._BLOCK_CELLS
 
     def test_short_length_scan_at_large_prime_stays_small(self):
         # only c = 1 + b is solvable; the grid has ~10**8 cells and ~10**8
@@ -331,6 +341,45 @@ class TestGridKernel:
         assert res.failure_count == (p - 1) ** 2 - (p - 2)
         assert res.failures == tuple((1, 1, c) for c in range(1, 22) if c != 2)
         assert peak < 16 * 2**20
+
+    def test_length_five_scan_at_large_prime_stays_small(self):
+        # 204 shifts per row over ~10**4 rows of 157 words: the rows are
+        # built block by block and never all held
+        p = 10007
+        tracemalloc.start()
+        try:
+            res = abc_scan(p, [5] * 13)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert 0 < res.solvable < res.total
+        assert len(res.failures) == 20
+        assert peak < 8 * 2**20
+
+
+class TestSampledScan:
+    """The chunked sampled scan against the per-pair reference loop."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_matches_per_pair_loop(self, data):
+        p, lengths = scan_case(data)
+        sample = data.draw(st.integers(1, 600))
+        seed = data.draw(st.integers(0, 3))
+        expected = sampled_scan(p, lengths, sample, seed)
+        assert sample_tuple(p, lengths, sample, seed) == expected
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(prodcong.solver, "_BLOCK_CELLS", 1)
+            assert sample_tuple(p, lengths, sample, seed) == expected
+
+    def test_duplicates_counted_and_failures_sorted(self):
+        # 400 draws from 16 pairs repeat pairs; every failing draw counts once
+        expected = sampled_scan(5, [1] * 13, 400, 7)
+        got = sample_tuple(5, [1] * 13, 400, 7)
+        assert got == expected
+        assert got[3] > len(set(got[2]))
+        assert list(got[2]) == sorted(got[2])
+
 
 class TestScanSolveConsistency:
     def test_full_grid_matches_individual_solves(self):
@@ -381,6 +430,20 @@ class TestThresholdScan:
             counts += [abc_scan(p, [n] * 13).solvable for n in range(len(curve) + 1, p)]
             assert len(counts) == p - 1
             assert counts == sorted(counts)
+
+    def test_curve_matches_per_length_scan_below_200(self):
+        # the carried open rows give the curve that rescanning every row
+        # gives, with and without a length cap
+        for p in primes_in_range(2, 199):
+            res = threshold_scan(p)
+            rows = [
+                (n, abc_scan(p, [n] * 13).solvable) for n in range(1, len(res.curve) + 1)
+            ]
+            assert [(row.length, row.solvable) for row in res.curve] == rows
+            assert res.minimal_len == (len(rows) if rows[-1][1] == (p - 1) ** 2 else None)
+            capped = threshold_scan(p, max_len=2)
+            assert capped.curve == res.curve[:2]
+            assert capped.minimal_len == (res.minimal_len if len(res.curve) <= 2 else None)
 
     def test_empty_curve_rejected(self):
         with pytest.raises(DomainError, match="max_len"):
