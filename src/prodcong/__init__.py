@@ -3,8 +3,8 @@
 Modules
 -------
 arith      factorization, totients, primitive roots, discrete-log tables
-residues   intervals, dense residue sets, product/sum/scale kernels, coverage
-charsums   multiplicative characters, collision energies, product-set bounds
+residues   intervals, dense residue sets, product/sum kernels, coverage
+charsums   multiplicative characters, collision energies
 smooth     smooth-number sieves and greedy bounded factorization
 growth     iterated product sets A^n, subgroup structure, representations
 solver     meet-in-the-middle decision for two-sided product congruences
@@ -13,7 +13,6 @@ cli        the `prodcong` command with deterministic JSON/CSV reports
 
 from .arith import (
     FieldContext,
-    Modulus,
     build_field_context,
     ceil_power,
     euler_phi,
@@ -24,14 +23,11 @@ from .arith import (
     primitive_root,
 )
 from .charsums import (
-    BoundCheck,
     CharProfile,
     EnergyDiagnostic,
     burgess_profile,
     char_sum,
     energy_diagnostic,
-    multiplicative_energy,
-    product_bound_check,
     product_energy,
     product_energy_via_characters,
     product_growth_bound,
@@ -40,12 +36,10 @@ from .errors import DomainError, NotRepresentableError, ProdcongError, ResourceE
 from .growth import (
     GeneratorSet,
     GrowthReport,
-    NonresidueResult,
     OlsonCheck,
     Representation,
     build_generator_set,
     is_subgroup,
-    least_power_nonresidue,
     olson_bound_check,
     power_residue_index,
     power_set_sequence,
@@ -56,13 +50,10 @@ from .residues import (
     CoverageResult,
     Interval,
     ResidueSet,
-    TripleProductStats,
     coverage_check,
     iterated_interval_product,
     product_set,
-    scale_set,
     sum_set,
-    triple_product_stats,
     units_mask,
 )
 from .smooth import SmoothFactorization, SmoothTable, build_smooth_table, greedy_factor
@@ -74,7 +65,6 @@ from .solver import (
     abc_scan,
     solve,
     threshold_scan,
-    twelve_interval_instance,
     verify_witness,
 )
 

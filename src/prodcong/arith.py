@@ -130,26 +130,6 @@ def primes_in_range(lo: int, hi: int) -> list[int]:
 _SMALL_PRIMES = tuple(primes_in_range(2, 4096))
 
 
-@dataclass(frozen=True)
-class Modulus:
-    """A modulus together with its factorization."""
-
-    m: int
-    is_prime: bool
-    factorization: tuple[tuple[int, int], ...]
-
-    @classmethod
-    def of(cls, m: int) -> "Modulus":
-        if m < 2:
-            raise DomainError("modulus must be >= 2")
-        fac = tuple(factorize(m))
-        return cls(m, len(fac) == 1 and fac[0] == (m, 1), fac)
-
-    @property
-    def phi(self) -> int:
-        return euler_phi(self.m)
-
-
 def primitive_root(p: int) -> int:
     """Smallest generator of the multiplicative group mod p."""
     if not is_prime(p):

@@ -13,15 +13,13 @@ independent cross-check and rounded to the integer it must equal.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from math import e as _E
 from typing import Iterable, NamedTuple, Union
 
 import numpy as np
 
 from .arith import FieldContext, is_prime
-from .errors import DomainError, ResourceError
-from .residues import Interval, ResidueSet, product_set
+from .errors import DomainError
+from .residues import Interval, ResidueSet
 
 Values = Union[Interval, ResidueSet, Iterable[int]]
 
@@ -151,51 +149,6 @@ def product_energy_via_characters(
     return float(count)
 
 
-def multiplicative_energy(limit: int, n0: int, p: int) -> int:
-    """Exact count of 2*n0-tuples from {1..limit} with equal half-products mod p.
-
-    Counted by iterating the residue histogram of k-fold products; counts stay
-    exact integers throughout (products are reduced mod p, never materialized).
-    """
-    if not is_prime(p):
-        raise DomainError("p must be prime")
-    if n0 < 1:
-        raise DomainError("n0 must be >= 1")
-    if not 1 <= limit < p:
-        raise DomainError("limit must satisfy 1 <= N < p")
-    if limit**n0 >= 2**62:
-        raise ResourceError("histogram counts would overflow the 64-bit budget")
-    hist = np.zeros(p, dtype=np.int64)
-    hist[1 : limit + 1] = 1
-    residues = np.arange(p, dtype=np.int64)
-    for _ in range(n0 - 1):
-        nxt = np.zeros(p, dtype=np.int64)
-        for y in range(1, limit + 1):
-            # y is a unit, so y*residues is a permutation: scatter-add is exact
-            nxt[(y * residues) % p] += hist
-        hist = nxt
-    return _sum_of_squares(hist)
-
-
-class BoundCheck(NamedTuple):
-    lhs: int
-    rhs: Fraction
-
-
-def product_bound_check(x_values: Values, y_values: Values, p: int) -> BoundCheck:
-    """Both sides of the Cauchy-Schwarz product-set bound: |XY| on the left,
-    |X|^2 |Y|^2 / J on the right. |XY| * J >= |X|^2 |Y|^2 holds exactly."""
-    xm = _unit_members(x_values, p)
-    ym = _unit_members(y_values, p)
-    if xm.size == 0 or ym.size == 0:
-        raise DomainError("sets must be nonempty")
-    j = product_energy(xm, ym, p)
-    card = product_set(
-        ResidueSet.from_members(p, xm), ResidueSet.from_members(p, ym)
-    ).cardinality
-    return BoundCheck(card, Fraction(int(xm.size) ** 2 * int(ym.size) ** 2, j))
-
-
 def product_growth_bound(p: int, card_x: int, length: int, n0: int) -> float:
     """The diagnostic expansion factor min{(p/|X|)^(1/n0), N/|X|^(1/n0)} with
     the asymptotic N^o(1) slack dropped. Reported only, never asserted."""
@@ -259,11 +212,3 @@ def energy_diagnostic(
         j_char=product_energy_via_characters(ctx, xm, y),
         bound_delta=product_growth_bound(p, int(xm.size), length, n0),
     )
-
-
-def nonresidue_cap(p: int, ell: int) -> float:
-    """The classical diagnostic ceiling p**(1/(4*e^((ell-1)/ell))) for the least
-    ell-th power nonresidue (epsilon slack dropped; never asserted)."""
-    if ell < 1:
-        raise DomainError("ell must be >= 1")
-    return p ** (1.0 / (4.0 * _E ** ((ell - 1) / ell)))

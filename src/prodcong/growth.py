@@ -17,7 +17,6 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .arith import euler_phi, factorize, floor_power, is_prime
-from .charsums import nonresidue_cap
 from .errors import DomainError, NotRepresentableError, ResourceError
 from .residues import ResidueSet, _pairwise_mask, product_set
 
@@ -324,30 +323,6 @@ def power_residue_index(s: ResidueSet) -> int:
     if order == 0 or (p - 1) % order or np.any(_power_mod(s.members, order, p) != 1):
         raise DomainError("set is not a subgroup")
     return (p - 1) // order
-
-
-class NonresidueResult(NamedTuple):
-    t: int
-    vinogradov_cap: float
-
-
-def least_power_nonresidue(p: int, ell: int) -> NonresidueResult:
-    """Smallest positive integer that is not an ell-th power residue mod p,
-    with the classical diagnostic cap (reported, never asserted).
-
-    By Euler's criterion a unit x is an ell-th power exactly when
-    x^((p-1)/ell) = 1, and for ell >= 2 some unit below p fails it."""
-    if not is_prime(p):
-        raise DomainError("p must be prime")
-    if ell == 1:
-        raise DomainError("every residue is a first power")
-    if ell < 1 or (p - 1) % ell != 0:
-        raise DomainError("ell must divide p - 1")
-    e = (p - 1) // ell
-    t = 2
-    while pow(t, e, p) == 1:
-        t += 1
-    return NonresidueResult(t, nonresidue_cap(p, ell))
 
 
 @dataclass(frozen=True)

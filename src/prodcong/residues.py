@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from math import prod
 from operator import index
@@ -332,17 +331,6 @@ def sum_set(s: ResidueSet, t: ResidueSet) -> ResidueSet:
     return ResidueSet(s.modulus, _pairwise_mask(s.modulus, s.members, t.members, np.add))
 
 
-def scale_set(factor: int, s: ResidueSet) -> ResidueSet:
-    """Image of S under multiplication by a fixed residue.
-
-    Preserves cardinality exactly when gcd(factor, m) = 1; any factor is
-    accepted (the image may then collapse).
-    """
-    mask = np.zeros(s.modulus, dtype=bool)
-    mask[(int(factor) * s.members) % s.modulus] = True
-    return ResidueSet(s.modulus, mask)
-
-
 class _WitnessView(Mapping):
     """Read-only map from each member of a set to its witness tuple.
 
@@ -461,24 +449,3 @@ def coverage_check(
     sums = sum_set(product_set(a, b), product_set(c, d))
     missing = [int(x) + 1 for x in np.nonzero(~sums.mask[1:])[0]]
     return CoverageResult(hypothesis, not missing, missing)
-
-
-class TripleProductStats(NamedTuple):
-    cardinality: int
-    ratio: Fraction
-
-
-def triple_product_stats(
-    i1: Interval, i2: Interval, i3: Interval, p: int
-) -> TripleProductStats:
-    """Exact size of a three-interval product set, with the ratio to the
-    length product (a diagnostic; no bound is asserted)."""
-    if not is_prime(p):
-        raise DomainError("p must be prime")
-    for iv in (i1, i2, i3):
-        if iv.modulus != p:
-            raise DomainError("modulus mismatch")
-        if iv.contains_zero:
-            raise DomainError("intervals must avoid 0")
-    card = iterated_interval_product([i1, i2, i3]).cardinality
-    return TripleProductStats(card, Fraction(card, len(i1) * len(i2) * len(i3)))

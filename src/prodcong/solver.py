@@ -15,7 +15,7 @@ from typing import NamedTuple, Optional, Sequence
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .arith import floor_power, is_prime
+from .arith import is_prime
 from .errors import DomainError
 from .residues import Interval, ResidueSet, iterated_interval_product
 from .rng import stream
@@ -120,22 +120,6 @@ def verify_witness(instance: SolveInstance, witness: Sequence[int]) -> bool:
     u = prod(witness[:LEFT_ARITY]) % p
     v = prod(witness[LEFT_ARITY:]) % p
     return (instance.a * u + instance.b * v) % p == instance.c
-
-
-def twelve_interval_instance(
-    p: int, a: int, b: int, c: int, base_len: int, eps: float
-) -> SolveInstance:
-    """A 13-interval instance realizing a 12-interval configuration: eleven
-    intervals of base_len plus a split last interval {1..floor(p**(1/4+eps/2))}
-    and {1..floor(p**(eps/2))}, all anchored at 1."""
-    if eps <= 0:
-        raise DomainError("eps must be positive")
-    n12 = min(max(floor_power(p, 0.25 + eps / 2), 1), p - 1)
-    n13 = min(max(floor_power(p, eps / 2), 1), p - 1)
-    base = Interval(0, base_len, p)
-    left = (base,) * LEFT_ARITY
-    right = (base,) * 5 + (Interval(0, n12, p), Interval(0, n13, p))
-    return SolveInstance(p, a, b, c, left, right)
 
 
 class ScanRow(NamedTuple):

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from prodcong import arith
 from prodcong.arith import (
-    Modulus,
     build_field_context,
     ceil_power,
     euler_phi,
@@ -194,16 +193,6 @@ class TestFieldContext:
         refs = [weakref.ref(build_field_context(p)) for p in (1009, 1013, 1019, 1021, 1031)]
         gc.collect()
         assert sum(ref() is not None for ref in refs) <= 2
-
-
-class TestModulus:
-    def test_prime_flag(self):
-        m = Modulus.of(13)
-        assert m.is_prime and m.factorization == ((13, 1),)
-        c = Modulus.of(12)
-        assert not c.is_prime
-        assert multiply_out(c.factorization) == 12
-        assert c.phi == 4
 
 
 class TestPowers:

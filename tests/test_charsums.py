@@ -1,9 +1,8 @@
 import gc
 import tracemalloc
 import weakref
-from fractions import Fraction
 from itertools import product as iproduct
-from math import prod, sqrt
+from math import sqrt
 
 import numpy as np
 import pytest
@@ -17,8 +16,6 @@ from prodcong.charsums import (
     burgess_profile,
     char_sum,
     energy_diagnostic,
-    multiplicative_energy,
-    product_bound_check,
     product_energy,
     product_energy_via_characters,
     product_growth_bound,
@@ -34,14 +31,6 @@ def brute_energy(xs, ys, p):
     count = 0
     for x1, y1, x2, y2 in iproduct(xs, ys, xs, ys):
         if x1 * y1 % p == x2 * y2 % p:
-            count += 1
-    return count
-
-
-def brute_multiplicative_energy(limit, n0, p):
-    count = 0
-    for tup in iproduct(range(1, limit + 1), repeat=2 * n0):
-        if prod(tup[:n0]) % p == prod(tup[n0:]) % p:
             count += 1
     return count
 
@@ -137,8 +126,6 @@ class TestProductEnergy:
         # the histogram kernel needs multiplication by units to permute residues
         with pytest.raises(DomainError):
             product_energy([1, 2], [1, 2], 15)
-        with pytest.raises(DomainError):
-            multiplicative_energy(3, 2, 15)
 
     @given(energy_instance())
     def test_matches_bruteforce(self, case):
@@ -327,41 +314,7 @@ class TestHalfSpectrum:
         assert peak <= 38 * 2**20
 
 
-class TestMultiplicativeEnergy:
-    def test_examples(self):
-        assert multiplicative_energy(1, 3, 101) == 1
-        assert multiplicative_energy(2, 1, 101) == 2
-        assert multiplicative_energy(2, 2, 101) == 6
-
-    def test_base_case_is_diagonal(self):
-        for n in (1, 2, 5, 9):
-            assert multiplicative_energy(n, 1, 101) == n
-
-    @pytest.mark.parametrize(
-        "limit,n0,p", [(2, 2, 101), (3, 2, 7), (4, 2, 11), (3, 3, 5), (2, 3, 13)]
-    )
-    def test_matches_bruteforce(self, limit, n0, p):
-        assert multiplicative_energy(limit, n0, p) == brute_multiplicative_energy(limit, n0, p)
-
-    def test_preconditions(self):
-        with pytest.raises(DomainError):
-            multiplicative_energy(7, 2, 7)  # limit must stay below p
-        with pytest.raises(DomainError):
-            multiplicative_energy(2, 0, 7)
-
-
 class TestProductBound:
-    def test_example(self):
-        check = product_bound_check([1, 2], [1, 2], 11)
-        assert check.lhs == 3
-        assert check.rhs == Fraction(16, 6)
-        assert check.lhs >= check.rhs
-
-    def test_equality_cases(self):
-        assert product_bound_check([1], [1], 7) == (1, Fraction(1))
-        check = product_bound_check(range(1, 5), range(1, 5), 5)
-        assert check.lhs == 4 and check.rhs == Fraction(256, 64)
-
     @given(energy_instance())
     def test_cauchy_schwarz_exact(self, case):
         p, xs, ys = case

@@ -18,7 +18,6 @@ from prodcong.growth import (
     _power_mod,
     build_generator_set,
     is_subgroup,
-    least_power_nonresidue,
     olson_bound_check,
     power_residue_index,
     power_set_sequence,
@@ -262,32 +261,6 @@ class TestPrimeCertificate:
             power_set_sequence(build_generator_set(7, cutoff=2))  # the squares, order 3
 
 
-class TestLeastPowerNonresidue:
-    def test_examples(self):
-        assert least_power_nonresidue(7, 2).t == 3
-        assert least_power_nonresidue(5, 2).t == 2
-        assert least_power_nonresidue(7, 3).t == 2
-
-    def test_cap_reported(self):
-        res = least_power_nonresidue(7, 2)
-        assert res.vinogradov_cap == pytest.approx(7 ** (1 / (4 * np.e ** (1 / 2))))
-
-    def test_ell_one_rejected(self):
-        with pytest.raises(DomainError):
-            least_power_nonresidue(7, 1)
-
-    def test_ell_must_divide(self):
-        with pytest.raises(DomainError):
-            least_power_nonresidue(7, 4)
-
-    def test_oracle_small(self):
-        for p in (5, 7, 11, 13, 17):
-            for ell in (d for d in range(2, p) if (p - 1) % d == 0):
-                residues = {pow(x, ell, p) for x in range(1, p)}
-                expected = next(t for t in range(1, p) if t % p not in residues)
-                assert least_power_nonresidue(p, ell).t == expected
-
-
 class TestRepresentUnit:
     def test_mod_seven(self):
         rep = represent_unit(7, cutoff=2)
@@ -457,13 +430,6 @@ class TestChainKernel:
         xs = np.array([2, 3, m - 1, 123456789123], dtype=np.int64)
         for e in (0, 1, 5, m - 2):
             assert list(_power_mod(xs, e, m)) == [pow(int(x), e, m) for x in xs]
-
-    def test_least_power_nonresidue_oracle(self):
-        for p in (p for p in range(3, 200) if all(p % d for d in range(2, isqrt(p) + 1))):
-            for ell in (d for d in range(2, p) if (p - 1) % d == 0):
-                residues = {pow(x, ell, p) for x in range(1, p)}
-                expected = next(t for t in range(1, p) if t not in residues)
-                assert least_power_nonresidue(p, ell).t == expected
 
     def test_closure_needs_no_quadratic_table(self):
         # cutoff 7 mod 8039 generates the 4019 squares; a |S| x |S| closure

@@ -1,5 +1,4 @@
 import tracemalloc
-from fractions import Fraction
 from itertools import permutations
 from math import gcd, prod
 
@@ -20,9 +19,7 @@ from prodcong.residues import (
     coverage_check,
     iterated_interval_product,
     product_set,
-    scale_set,
     sum_set,
-    triple_product_stats,
     units_mask,
 )
 from prodcong.rng import stream
@@ -119,14 +116,6 @@ class TestKernels:
         assert sum_set(zero, s) == s
         assert members(sum_set(ResidueSet.from_members(2, [1]), ResidueSet.from_members(2, [1]))) == {0}
 
-    def test_scale_examples(self):
-        s = ResidueSet.from_members(7, [1, 2])
-        assert scale_set(1, s) == s
-        assert members(scale_set(3, s)) == {3, 6}
-        collapsing = scale_set(2, ResidueSet.from_members(8, [1, 3, 5]))
-        assert members(collapsing) == {2, 6}
-        assert collapsing.cardinality == 2
-
     def test_modulus_mismatch(self):
         with pytest.raises(DomainError):
             product_set(ResidueSet.from_members(5, [1]), ResidueSet.from_members(7, [1]))
@@ -153,21 +142,6 @@ class TestKernels:
         s1 = ResidueSet.from_members(m, list(members(s)) + [1 % m])
         t1 = ResidueSet.from_members(m, list(members(t)) + [1 % m])
         assert members(s1) | members(t1) <= members(product_set(s1, t1))
-
-    @given(st.integers(min_value=2, max_value=499), st.data())
-    def test_scale_by_unit_is_bijective(self, m, data):
-        xi = data.draw(
-            st.sampled_from([x for x in range(1, m) if np.gcd(x, m) == 1])
-        )
-        size = data.draw(st.integers(min_value=1, max_value=min(m, 10)))
-        s = ResidueSet.from_members(
-            m, data.draw(st.lists(st.integers(0, m - 1), min_size=size, max_size=size))
-        )
-        scaled = scale_set(xi, s)
-        assert scaled.cardinality == s.cardinality
-        inv = pow(int(xi), -1, m)
-        assert scale_set(inv, scaled) == s
-
 
     @given(st.integers(min_value=2, max_value=60), st.data())
     def test_chunk_boundaries_match_bruteforce(self, m, data):
@@ -523,30 +497,6 @@ class TestCoverage:
                 ]
                 res = coverage_check(*sets, p)
                 assert res.hypothesis_met and res.covers
-
-
-class TestTripleProductStats:
-    def test_prefix_example(self):
-        iv = Interval(0, 4, 101)
-        stats = triple_product_stats(iv, iv, iv, 101)
-        assert stats.cardinality == 16
-        assert stats.ratio == Fraction(1, 4)
-
-    def test_singletons(self):
-        iv = Interval(1, 1, 11)
-        stats = triple_product_stats(iv, iv, iv, 11)
-        assert stats.cardinality == 1
-        assert stats.ratio == 1
-
-    def test_full_units_mod_7(self):
-        iv = Interval(0, 6, 7)
-        stats = triple_product_stats(iv, iv, iv, 7)
-        assert stats.cardinality == 6
-        assert stats.ratio == Fraction(6, 216)
-
-    def test_zero_interval_rejected(self):
-        with pytest.raises(DomainError):
-            triple_product_stats(Interval(6, 2, 7), Interval(0, 2, 7), Interval(0, 2, 7), 7)
 
 
 class TestFromMembers:

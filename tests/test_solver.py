@@ -18,7 +18,6 @@ from prodcong.solver import (
     abc_scan,
     solve,
     threshold_scan,
-    twelve_interval_instance,
     verify_witness,
 )
 from reference_scan import full_grid_scan, sampled_scan
@@ -469,11 +468,3 @@ class TestAnchoredVariant:
         assert main(argv + ["--anchored"]) == 2
         assert "contain 1" in capsys.readouterr().err
         assert main(argv) == 0  # the same instance without --anchored is decided
-
-    def test_twelve_interval_preset(self):
-        inst = twelve_interval_instance(101, 3, 5, 7, base_len=9, eps=0.4)
-        assert 1 in inst.right[-1]
-        assert len(inst.right[-2]) >= len(inst.right[-1])
-        report = solve(inst)
-        assert report.solvable
-        assert verify_witness(inst, report.witness)
