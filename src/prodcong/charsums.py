@@ -4,7 +4,9 @@ Characters are realized through the discrete-log table: chi_j(x) is the
 (j * dlog[x])-th root of unity of order p-1, chi_j(0) = 0, and j = 0 is the
 principal character. A set's character sums are the DFT of its (real)
 discrete-log indicator, so |S(chi_{p-1-j})| = |S(chi_j)| and only
-j = 0..(p-1)/2 are computed, by one complex FFT of half length. The collision
+j = 0..(p-1)/2 are computed: for a small set, as one blocked matrix product of
+exact phase tables (|set| multiply-adds per character), and for a dense one by
+one complex FFT of half length. The collision
 count J (solutions of x1 y1 = x2 y2) is always computed exactly by
 multiplicity histogram; the character identity is evaluated numerically as an
 independent cross-check and rounded to the integer it must equal.
@@ -13,6 +15,7 @@ independent cross-check and rounded to the integer it must equal.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import isqrt
 from typing import Iterable, NamedTuple, Union
 
 import numpy as np
@@ -31,36 +34,87 @@ _last_spectrum: tuple[tuple, np.ndarray] | None = None
 
 _UNTANGLE_BLOCK = 1 << 16  # bins per untangling pass, which bounds its temporaries
 
+# Complex multiply-adds per GEMM call. OpenBLAS runs a zgemm this small on the
+# calling thread; one full-size threaded call left its workers spinning and
+# slowed the small numpy operations that followed it.
+_GEMM_BLOCK = 1 << 18
+
+# Members per bit of the bin count below which the GEMM beats the FFT (see
+# BENCH_charsum_gemm.json for the measured crossover).
+_GEMM_MEMBERS_PER_BIT = 16
+
+
+def _gemm_pays(count: int, bins: int) -> bool:
+    """The phase GEMM, count multiply-adds per bin, replaces the FFT when count
+    is at most a measured multiple of log2(bins), which the FFT's cost per bin
+    follows. A set mod 2 (one bin) always qualifies, so the FFT never sees
+    p = 2."""
+    return count <= _GEMM_MEMBERS_PER_BIT * bins.bit_length()
+
+
+def _gemm_spectrum(ctx: FieldContext, members: np.ndarray) -> np.ndarray:
+    """The half spectrum as a matrix product: with w = ceil(sqrt(bins)), bin
+    j = a*w + i has the sum over members of e(-a*w*d/(p-1)) * e(-i*d/(p-1)), d
+    the member's dlog. Each phase is reduced mod p-1 in int64 before it becomes
+    a float (the field context refuses p whose (p-1)**2 overflows), so no
+    rounding accumulates across bins."""
+    n = ctx.p - 1
+    bins = n // 2 + 1
+    width = isqrt(bins - 1) + 1
+    rows = -(-bins // width)
+    d = ctx.dlog[members]
+    turn = -2j * np.pi / n
+    left = np.exp(turn * (np.multiply.outer(np.arange(rows) * width % n, d) % n))
+    right = np.exp(turn * (np.multiply.outer(d, np.arange(width)) % n))
+    mags = np.empty((rows, width))
+    step = max(1, _GEMM_BLOCK // max(d.size * width, 1))
+    for lo in range(0, rows, step):
+        np.abs(np.matmul(left[lo : lo + step], right), out=mags[lo : lo + step])
+    return mags.ravel()[:bins]
+
+
+def _fft_spectrum(ctx: FieldContext, members: np.ndarray) -> np.ndarray:
+    """The half spectrum from one complex FFT of length (p-1)/2, for p >= 3.
+
+    The indicator x is packed as z[m] = x[2m] + i x[2m+1] and Z = FFT(z).
+    With Zc[k] = conj(Z[-k]), the even entries of x have the DFT (Z + Zc)/2 and
+    the odd entries (Z - Zc)/2i, so x has (Z + Zc - i w (Z - Zc))/2 at bin
+    k < n/2, with the twiddle w = exp(-2 pi i k/n), and Re Z[0] - Im Z[0] at
+    bin n/2."""
+    n = ctx.p - 1
+    half = n // 2
+    z = np.zeros(half, dtype=np.complex128)
+    z.view(np.float64)[ctx.dlog[members]] = 1.0
+    np.fft.fft(z, out=z)
+    mags = np.empty(half + 1)
+    mags[half] = abs(z[0].real - z[0].imag)
+    for lo in range(0, half, _UNTANGLE_BLOCK):
+        k = np.arange(lo, min(lo + _UNTANGLE_BLOCK, half))
+        zk, zc = z[k], np.conj(z[-k])
+        w = np.exp(k * (-2j * np.pi / n))
+        mags[k] = 0.5 * np.abs(zk + zc - 1j * w * (zk - zc))
+    return mags
+
 
 def _dlog_spectrum(ctx: FieldContext, members: np.ndarray) -> np.ndarray:
     """|DFT| of the dlog indicator of the units at j = 0..(p-1)//2: entry j is
-    |sum of chi_j|, which is also |sum of chi_{p-1-j}| (the indicator is real)."""
+    |sum of chi_j|, which is also |sum of chi_{p-1-j}| (the indicator is real).
+
+    A small set takes the phase GEMM, of |set| multiply-adds per bin whatever
+    the factors of p-1; a dense one takes the packed FFT, whose cost per bin
+    grows with log2 of its length and, through numpy's Bluestein fallback,
+    with the largest prime factor of p-1."""
     global _last_spectrum
     key = (ctx.p, ctx.g, members.tobytes())
     last = _last_spectrum
     if last is not None and last[0] == key:
         return last[1]
-    _last_spectrum = None  # drop the old spectrum before the FFT buffers exist
-    n = ctx.p - 1
-    if n == 1:
-        mags = np.array([float(members.size)])
+    _last_spectrum = None  # drop the old spectrum before the new one allocates
+    bins = (ctx.p - 1) // 2 + 1
+    if _gemm_pays(members.size, bins):
+        mags = _gemm_spectrum(ctx, members)
     else:
-        half = n // 2
-        # Pack the indicator x as z[m] = x[2m] + i x[2m+1] and take Z = FFT(z).
-        # With Zc[k] = conj(Z[-k]), the even entries of x have the DFT (Z + Zc)/2
-        # and the odd entries (Z - Zc)/2i, so x has (Z + Zc - i w (Z - Zc))/2 at
-        # bin k < n/2, with the twiddle w = exp(-2 pi i k/n), and Re Z[0] - Im Z[0]
-        # at bin n/2.
-        z = np.zeros(half, dtype=np.complex128)
-        z.view(np.float64)[ctx.dlog[members]] = 1.0
-        np.fft.fft(z, out=z)
-        mags = np.empty(half + 1)
-        mags[half] = abs(z[0].real - z[0].imag)
-        for lo in range(0, half, _UNTANGLE_BLOCK):
-            k = np.arange(lo, min(lo + _UNTANGLE_BLOCK, half))
-            zk, zc = z[k], np.conj(z[-k])
-            w = np.exp(k * (-2j * np.pi / n))
-            mags[k] = 0.5 * np.abs(zk + zc - 1j * w * (zk - zc))
+        mags = _fft_spectrum(ctx, members)
     mags.setflags(write=False)
     _last_spectrum = (key, mags)
     return mags

@@ -205,11 +205,14 @@ def cmd_growth(args) -> tuple[Report, int]:
 
 def cmd_charsum(args) -> tuple[Report, int]:
     primes = _parse_prime_list(args.p)
+    # checked before any dlog table is built, so a refusal costs no table and a
+    # prime over the cap still exits 2
+    if args.n0 < 1:
+        raise DomainError("n0 must be >= 1")
+    if args.len >= min(primes):
+        raise DomainError("interval length must be below p")
     rows = []
     for p in primes:
-        # checked before the dlog table is built, so a prime over the cap still exits 2
-        if args.len >= p:
-            raise DomainError("interval length must be below p")
         ctx = build_field_context(p)
         profile = burgess_profile(ctx, args.len)
         diag = energy_diagnostic(ctx, range(1, args.len + 1), args.len, args.n0)

@@ -52,6 +52,41 @@ def unit_set(draw):
     return p, draw(st.sets(st.integers(1, p - 1), min_size=1, max_size=40))
 
 
+@st.composite
+def adversarial_set(draw):
+    """Sets whose spectra have exact zeros and ties: a subgroup of index 2..6,
+    a coset of one, an arithmetic progression, or a random set of exactly the
+    GEMM rule's largest member count or one more."""
+    p = draw(st.sampled_from(primes_in_range(179, 2000)))
+    ctx = build_field_context(p)
+    units = np.arange(1, p)
+    kind = draw(st.sampled_from(["subgroup", "coset", "progression", "rule"]))
+    if kind in ("subgroup", "coset"):
+        index = draw(st.sampled_from([k for k in range(2, 7) if (p - 1) % k == 0]))
+        members = units[ctx.dlog[units] % index == 0]
+        if kind == "coset":
+            members = members * draw(st.integers(2, p - 1)) % p
+    elif kind == "progression":
+        start = draw(st.integers(0, p - 1))
+        step = draw(st.integers(1, p - 1))
+        count = draw(st.integers(1, p - 1))
+        members = (start + step * np.arange(count)) % p
+        members = members[members != 0]
+    else:
+        top = charsums._GEMM_MEMBERS_PER_BIT * ((p - 1) // 2 + 1).bit_length()
+        count = top + draw(st.integers(0, 1))
+        members = np.array(draw(st.permutations(range(1, p)))[:count])
+    return p, np.unique(members)
+
+
+def spectrum_on(path, ctx, members):
+    """The half spectrum with the GEMM rule forced to `path`, bypassing the memo."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(charsums, "_gemm_pays", lambda count, bins: path == "gemm")
+        mp.setattr(charsums, "_last_spectrum", None)
+        return _dlog_spectrum(ctx, np.array(sorted(members), dtype=np.int64))
+
+
 class TestCharSum:
     def test_principal_counts_members(self):
         ctx = build_field_context(7)
@@ -213,6 +248,7 @@ class TestSpectrumMemo:
     def test_kept_spectrum_dropped_before_the_fft(self, monkeypatch):
         # near p = 10**6 the kept spectrum is 4 MB, released before the next
         # transform allocates its buffers
+        monkeypatch.setattr(charsums, "_gemm_pays", lambda count, bins: False)
         ctx = build_field_context(1009)
         _dlog_spectrum(ctx, np.arange(1, 6))
         kept_during_fft = []
@@ -225,6 +261,20 @@ class TestSpectrumMemo:
         monkeypatch.setattr(np.fft, "fft", checking_fft)
         _dlog_spectrum(ctx, np.arange(1, 7))
         assert kept_during_fft == [None]
+
+    def test_kept_spectrum_dropped_before_the_gemm(self, monkeypatch):
+        ctx = build_field_context(1009)
+        _dlog_spectrum(ctx, np.arange(1, 6))
+        kept_during_gemm = []
+        gemm = charsums._gemm_spectrum
+
+        def checking_gemm(ctx, members):
+            kept_during_gemm.append(charsums._last_spectrum)
+            return gemm(ctx, members)
+
+        monkeypatch.setattr(charsums, "_gemm_spectrum", checking_gemm)
+        _dlog_spectrum(ctx, np.arange(1, 7))
+        assert kept_during_gemm == [None]
 
     def test_generator_is_part_of_the_key(self):
         # the same set under another primitive root permutes the characters
@@ -242,13 +292,48 @@ class TestHalfSpectrum:
     @given(unit_set())
     @example((3, {2}))  # p = 3: bins 0 and (p-1)/2 are the whole spectrum
     @example((3, {1, 2}))
+    @example((3, set()))
+    @example((2, {1}))  # p = 2: one bin
+    @example((2, set()))
     def test_matches_direct_sums(self, case):
         p, members = case
         ctx = build_field_context(p)
-        spectrum = _dlog_spectrum(ctx, np.array(sorted(members)))
-        assert spectrum.size == (p - 1) // 2 + 1
-        for j in range(spectrum.size):
-            assert spectrum[j] == pytest.approx(abs(char_sum(ctx, j, members)), abs=1e-9)
+        # the rule sends p = 2 to the GEMM: the packed FFT needs p >= 3
+        for path in ("gemm",) if p == 2 else ("fft", "gemm"):
+            spectrum = spectrum_on(path, ctx, members)
+            assert spectrum.size == (p - 1) // 2 + 1
+            for j in range(spectrum.size):
+                assert spectrum[j] == pytest.approx(abs(char_sum(ctx, j, members)), abs=1e-9)
+
+    @given(adversarial_set())
+    def test_paths_agree_on_adversarial_sets(self, case):
+        p, members = case
+        ctx = build_field_context(p)
+        np.testing.assert_allclose(
+            spectrum_on("gemm", ctx, members), spectrum_on("fft", ctx, members),
+            rtol=0, atol=1e-9,
+        )
+
+    def test_rule_boundary(self, monkeypatch):
+        # the rule's largest set takes the GEMM, and one more member the FFT
+        ran = []
+
+        def recording(path):
+            kernel = getattr(charsums, f"_{path}_spectrum")
+
+            def spectrum(ctx, members):
+                ran.append(path)
+                return kernel(ctx, members)
+
+            return spectrum
+
+        for path in ("gemm", "fft"):
+            monkeypatch.setattr(charsums, f"_{path}_spectrum", recording(path))
+        ctx = build_field_context(1009)
+        top = charsums._GEMM_MEMBERS_PER_BIT * (505).bit_length()
+        _dlog_spectrum(ctx, np.arange(1, top + 1))
+        _dlog_spectrum(ctx, np.arange(1, top + 2))
+        assert ran == ["gemm", "fft"]
 
     @pytest.mark.parametrize(
         "p,block", [(101, 1), (1009, 7), (1009, 504), (262147, 1 << 16)]
@@ -256,6 +341,7 @@ class TestHalfSpectrum:
     def test_blocks_match_full_fft(self, monkeypatch, p, block):
         # untangling in blocks of any size gives the first half of the
         # full-length spectrum; 262147 spans three default blocks
+        monkeypatch.setattr(charsums, "_gemm_pays", lambda count, bins: False)
         monkeypatch.setattr(charsums, "_UNTANGLE_BLOCK", block)
         monkeypatch.setattr(charsums, "_last_spectrum", None)
         ctx = build_field_context(p)
@@ -266,6 +352,45 @@ class TestHalfSpectrum:
         np.testing.assert_allclose(
             _dlog_spectrum(ctx, members), full[: (p - 1) // 2 + 1], rtol=0, atol=1e-9
         )
+
+    @pytest.mark.parametrize(
+        "p,block", [(101, 1), (1009, 7 * 8 * 23), (1009, 22 * 8 * 23), (262147, 1 << 18)]
+    )
+    def test_gemm_blocks_match_full_fft(self, monkeypatch, p, block):
+        # row blocks of any size give the first half of the full-length
+        # spectrum: one row at a time, at p = 1009 (8 members, 22 rows of 23
+        # columns) 7 rows with a short last block or all 22 at once, and at
+        # 262147 the default block
+        monkeypatch.setattr(charsums, "_gemm_pays", lambda count, bins: True)
+        monkeypatch.setattr(charsums, "_GEMM_BLOCK", block)
+        monkeypatch.setattr(charsums, "_last_spectrum", None)
+        ctx = build_field_context(p)
+        members = np.array([1, 2, 3, 5, 8, 13, p - 2, p - 1])
+        ind = np.zeros(p - 1)
+        ind[ctx.dlog[members]] = 1.0
+        full = np.abs(np.fft.fft(ind))
+        np.testing.assert_allclose(
+            _dlog_spectrum(ctx, members), full[: (p - 1) // 2 + 1], rtol=0, atol=1e-9
+        )
+
+    def test_gemm_calls_stay_single_threaded(self, monkeypatch):
+        # OpenBLAS threads a zgemm of more than 2**18 multiply-adds; every
+        # row block stays within that, and the blocks cover every row once
+        shapes = []
+        matmul = np.matmul
+
+        def recording_matmul(a, b, *rest, **kw):
+            shapes.append((a.shape[0], a.shape[1], b.shape[1]))
+            return matmul(a, b, *rest, **kw)
+
+        monkeypatch.setattr(np, "matmul", recording_matmul)
+        monkeypatch.setattr(charsums, "_last_spectrum", None)
+        ctx = build_field_context(999983)
+        _dlog_spectrum(ctx, np.arange(1, 48))
+        assert max(m * k * n for m, k, n in shapes) <= 2**18
+        # 499992 bins: 708 columns (ceil of the square root) by 707 rows
+        assert {(k, n) for _, k, n in shapes} == {(47, 708)}
+        assert sum(m for m, _, _ in shapes) == 707
 
     def test_p2_has_one_bin(self):
         ctx = build_field_context(2)
@@ -312,6 +437,20 @@ class TestHalfSpectrum:
         finally:
             tracemalloc.stop()
         assert peak <= 38 * 2**20
+
+    def test_gemm_memory_is_bounded(self, monkeypatch):
+        # the phase tables and the row blocks stay under two complex arrays
+        # of (p+1)/2 bins
+        ctx = build_field_context(999983)
+        assert charsums._gemm_pays(60, 499992)
+        monkeypatch.setattr(charsums, "_last_spectrum", None)
+        tracemalloc.start()
+        try:
+            burgess_profile(ctx, 60)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 * 2**20
 
 
 class TestProductBound:

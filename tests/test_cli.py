@@ -156,10 +156,13 @@ class TestCharsumCommand:
             assert 0 <= row["max_ratio"] <= 1
 
     # SHA-256 of the report bodies. The --p 31 bodies are those written when
-    # each prime took three FFTs. The others were re-pinned when the spectrum
+    # each prime took three FFTs. The next four were re-pinned when the spectrum
     # became half length: argmax_j is min(j, p-1-j), max_ratio is a direct
     # character sum (it moved by at most 1e-15 relative) and j_char the rounded
-    # identity, float(j_direct).
+    # identity, float(j_direct). The last four were recorded from the packed FFT
+    # before small sets took the phase GEMM: --len 300 stays on the FFT, and
+    # 999983 - 1 = 2 * 79 * 6329 and 859049 - 1 = 2**3 * 167 * 643 sent their
+    # FFT to Bluestein.
     @pytest.mark.parametrize(
         "args,fmt,digest",
         [
@@ -175,6 +178,14 @@ class TestCharsumCommand:
              "ba3a918b634c1299b3f69ed83c9ae120c815fe5c14f13789a696057994b0dcdf"),
             (["--p", "100003", "--len", "20"], "csv",
              "245e8661eb4e916d263b3a95153f2d240d3e535004c09d802649102a9a5fe86f"),
+            (["--p", "1009,1013", "--len", "300"], "json",
+             "c44a3fc23c4407e7cce3678ef1d6df8755e063c3d1ad78f5c444d1aa3c701c84"),
+            (["--p", "1009,1013", "--len", "300"], "csv",
+             "6a3475b64eaa29ec734cfea443f99b819c72af7006f08b658d3e684432059653"),
+            (["--p", "999983,859049", "--len", "47"], "json",
+             "2ce3ec07413ac42a497ff6c5da385ec9ca6bb4466c726b4496cfb27f88049bee"),
+            (["--p", "999983,859049", "--len", "47"], "csv",
+             "824ff87f48b3a7a08d55e272671261b24b115d505615128272c8c63da7623263"),
         ],
     )
     def test_report_bytes_pinned(self, capsys, args, fmt, digest):
@@ -191,10 +202,40 @@ class TestCharsumCommand:
             return fft(a, *rest, **kw)
 
         monkeypatch.setattr(np.fft, "fft", counting_fft)
+        monkeypatch.setattr(charsums, "_gemm_pays", lambda count, bins: False)
         monkeypatch.setattr(charsums, "_last_spectrum", None)
         code, _, _ = run(capsys, ["charsum", "--p", "1009,1013", "--len", "7"])
         assert code == 0
         assert calls == [504, 506]  # one half-length transform per prime
+
+    def test_one_gemm_spectrum_per_prime(self, capsys, monkeypatch):
+        calls = []
+        gemm = charsums._gemm_spectrum
+
+        def counting_gemm(ctx, members):
+            calls.append(ctx.p)
+            return gemm(ctx, members)
+
+        monkeypatch.setattr(charsums, "_gemm_spectrum", counting_gemm)
+        monkeypatch.setattr(np.fft, "fft", lambda *args, **kw: calls.append("fft"))
+        monkeypatch.setattr(charsums, "_last_spectrum", None)
+        code, _, _ = run(capsys, ["charsum", "--p", "1009,1013", "--len", "7"])
+        assert code == 0
+        assert calls == [1009, 1013]
+
+    @pytest.mark.parametrize(
+        "args,message",
+        [
+            (["--p", "999983", "--len", "40", "--n0", "0"], "n0 must be >= 1"),
+            (["--p", "999983,101", "--len", "200"], "interval length must be below p"),
+        ],
+    )
+    def test_refused_before_any_table(self, capsys, monkeypatch, args, message):
+        built = []
+        monkeypatch.setattr(cli, "build_field_context", built.append)
+        code, out, err = run(capsys, ["charsum", *args])
+        assert (code, out, built) == (2, "", [])
+        assert err == f"error: {message}\n"
 
 
 _ANCHORED = "3:4,7:4,1:5,0:3,20:4,9:4,0:4,2:4,11:3,5:4,30:3,4:4,0:2"
