@@ -56,7 +56,7 @@ from .residues import (
     sum_set,
     units_mask,
 )
-from .smooth import SmoothFactorization, SmoothTable, build_smooth_table, greedy_factor
+from .smooth import SmoothTable, build_smooth_table, greedy_factor
 from .solver import (
     ScanResult,
     SolveInstance,

@@ -266,7 +266,7 @@ def cmd_smooth(args) -> tuple[Report, int]:
     }
     failures = 0
     if args.check_greedy:
-        checked, max_k, failures = _greedy_check(table.lpf, eligible, m, args.c0, args.c0)
+        checked, max_k, failures = _greedy_check(eligible, m, args.c0, args.c0, table)
         assert checked == psi_coprime
         row.update(greedy_checked=checked, greedy_max_k=max_k, greedy_failures=failures)
     report = Report(

@@ -391,7 +391,9 @@ def represent_target(
     prime p, padded with 1s to the stabilization length (GrowthReport.represent
     on a fresh witnessed chain)."""
     if not is_prime(p):
-        raise DomainError("p must be prime")
+        raise DomainError(
+            f"modulus {p} is not prime, and a composite modulus accepts only target 1"
+        )
     if target % p == 0:
         raise DomainError("target must be a unit")
     return _witnessed_chain(build_generator_set(p, c, cutoff=cutoff), n_max).represent(target)

@@ -4,14 +4,13 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
-from math import ceil, prod
+from math import ceil
 from typing import Optional
 
 import numpy as np
 
-from .arith import ceil_power, euler_phi, floor_power, primes_in_range
+from .arith import ceil_power, floor_power, primes_in_range
 from .errors import DomainError, ResourceError
 
 SIEVE_CAP_ENV = "PRODCONG_SIEVE_CAP"
@@ -29,45 +28,13 @@ class SmoothTable:
     x_max: int
     lpf: np.ndarray
 
-    def largest_prime_factor(self, n: int) -> int:
-        if not 1 <= n <= self.x_max:
-            raise DomainError(f"n={n} beyond table (x_max={self.x_max})")
-        return int(self.lpf[n])
-
-    def factor_desc(self, n: int) -> list[int]:
-        """Prime factors of n with multiplicity, nonincreasing."""
-        if not 1 <= n <= self.x_max:
-            raise DomainError(f"n={n} beyond table (x_max={self.x_max})")
-        out = []
-        lpf = self.lpf
-        while n > 1:
-            q = int(lpf[n])
-            out.append(q)
-            n //= q
-        return out
-
-    def _smooth_mask(self, x: int, y: float) -> np.ndarray:
-        """Mask over 1..x of the y-smooth integers (n = 1 is smooth for every y)."""
+    def psi(self, x: int, y: float) -> int:
+        """Count of y-smooth n <= x (n = 1 is smooth for every y)."""
         if x < 0 or x > self.x_max:
             raise DomainError(f"x={x} beyond table (x_max={self.x_max})")
         smooth = self.lpf[1 : x + 1] <= y
         smooth[:1] = True  # n = 1 has no prime factor at all
-        return smooth
-
-    def psi(self, x: int, y: float) -> int:
-        """Count of y-smooth n <= x."""
-        return int(self._smooth_mask(x, y).sum())
-
-    def psi_q(self, x: int, y: float, q: int) -> int:
-        """Count of y-smooth n <= x with gcd(n, q) = 1."""
-        if q < 1:
-            raise DomainError("q must be >= 1")
-        # the mask comes first, so an x beyond the table allocates nothing
-        return int((self._smooth_mask(x, y) & (np.gcd(np.arange(1, x + 1), q) == 1)).sum())
-
-    def unit_smooth_density(self, m: int, y: float) -> Fraction:
-        """Measured share of units mod m that are y-smooth: psi_q(m, y, m) / phi(m)."""
-        return Fraction(self.psi_q(m, y, m), euler_phi(m))
+        return int(smooth.sum())
 
 
 def _check_cap(x_max: int) -> None:
@@ -110,94 +77,52 @@ def _bounds(m: int, c0: float, c: float) -> tuple[int, int, int, int]:
     return floor_power(m, c0), floor_power(m, c), ceil_power(m, c / 2), ceil(2 / c0) + 1
 
 
-@dataclass(frozen=True)
-class SmoothFactorization:
-    """A smooth integer split as x = x_1 * ... * x_k with x_1 <= m**c and
-    m**(c/2) <= x_j <= m**c for j >= 2; k never exceeds ceil(2/c0) + 1."""
-
-    x: int
-    m: int
-    c0: float
-    c: float
-    parts: tuple[int, ...]
-
-    def __post_init__(self):
-        _, cap, lo, max_parts = _bounds(self.m, self.c0, self.c)
-        if prod(self.parts) != self.x:
-            raise DomainError("parts do not multiply back to x")
-        if not self.parts or self.parts[0] > cap:
-            raise DomainError("leading part exceeds m**c")
-        for part in self.parts[1:]:
-            if not lo <= part <= cap:
-                raise DomainError(f"part {part} outside [m**(c/2), m**c]")
-        if len(self.parts) > max_parts:
-            raise DomainError("too many parts")
-
-    @property
-    def k(self) -> int:
-        return len(self.parts)
+_GREEDY_BLOCK = 1 << 13  # rows per block, so the part matrices stay a few MB at any m
 
 
 def greedy_factor(
-    x: int, m: int, c0: float, c: float, table: Optional[SmoothTable] = None
-) -> SmoothFactorization:
-    """Split any m**c0-smooth x <= m into bounded parts. Units are not
-    required; callers who need units filter them first.
+    xs, m: int, c0: float, c: float, table: Optional[SmoothTable] = None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Split every x in xs (a 1-D int array, each 1 <= x <= m) into parts
+    bounded by m**c. Units are not required; callers who need units filter
+    them first.
 
-    Greedy rule (fixed for determinism): list x's prime factors with
+    Greedy rule (fixed for determinism): take x's prime factors with
     multiplicity in descending order, and multiply successive primes into the
     current part while it stays <= m**c, else close it and open the next. A
     part closes only when cur*q > m**c with q <= cur, so cur > m**(c/2): only
     the last part can be small, and it is placed first.
+
+    Returns the parts (one row per x, k parts then padding 1s), k, and ok:
+    whether x is m**c0-smooth and its parts multiply back to x, lead with a
+    part <= m**c, continue with parts in [m**(c/2), m**c] and number at most
+    ceil(2/c0) + 1. Each round takes q = lpf[rem] for every row still open,
+    closes the part where cur*q > cap, and divides q out of rem, so there are
+    at most log2(max xs) rounds. cur*q always divides x, so int64 is exact.
+
+    The whole call is refused with DomainError when m < 2, when the exponents
+    fail 0 < c0 <= c < 1, or when some x lies outside 1..m or the table
+    passed; without a table, max(xs) over the sieve cap raises ResourceError.
     """
-    if x < 1:
-        raise DomainError("x must be >= 1")
     if m < 2:
         raise DomainError("m must be >= 2")
     if not 0 < c0 <= c < 1:
         raise DomainError("exponents must satisfy 0 < c0 <= c < 1")
-    if x > m:
-        raise DomainError("x must be at most m")
-    if x == 1:
-        return SmoothFactorization(1, m, c0, c, (1,))
-    smooth_bound, cap, lo, _ = _bounds(m, c0, c)
-    if smooth_bound < 2:
-        raise DomainError("m**c0 < 2: no primes available")
-    primes = (table or _shared(x)).factor_desc(x)
-    if primes[0] > smooth_bound:
-        raise DomainError(f"x={x} is not m**c0-smooth (lpf {primes[0]} > {smooth_bound})")
-
-    parts: list[int] = []
-    cur = 1
-    for q in primes:
-        if cur * q > cap:  # q <= smooth_bound <= cap, so cur > 1 here
-            parts.append(cur)
-            cur = q
-        else:
-            cur *= q
-    return SmoothFactorization(x, m, c0, c, (cur, *parts) if cur < lo else (*parts, cur))
-
-
-_GREEDY_BLOCK = 1 << 13  # rows per block, so the part matrices stay a few MB at any m
-
-
-def _greedy_rows(
-    lpf: np.ndarray, xs: np.ndarray, m: int, c0: float, c: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """`greedy_factor` on every x in xs (1 <= x <= m, x in the table) at once.
-
-    Returns the parts (one row per x in greedy_factor's order, padded with 1),
-    k, and whether greedy_factor returns rather than raises: x is
-    m**c0-smooth and the parts pass SmoothFactorization's checks. Each round
-    takes q = lpf[rem] for every row still open, closes the part where
-    cur*q > cap, and divides q out of rem, so there are at most log2(max xs)
-    rounds. cur*q always divides x, so int64 is exact.
-    """
-    smooth_bound, cap, lo, max_parts = _bounds(m, c0, c)
     xs = np.asarray(xs, dtype=np.int64)
+    if xs.ndim != 1:
+        raise DomainError("xs must be a 1-D array")
+    top = int(xs.max(initial=1))
+    if int(xs.min(initial=1)) < 1 or top > m:
+        raise DomainError("every x must satisfy 1 <= x <= m")
+    if table is None:
+        table = _shared(top)
+    elif top > table.x_max:
+        raise DomainError(f"x={top} beyond table (x_max={table.x_max})")
+    lpf = table.lpf
+    smooth_bound, cap, lo, max_parts = _bounds(m, c0, c)
     n = len(xs)
     # column 0 is kept for a small last part; closed parts start at column 1
-    parts = np.ones((n, int(xs.max(initial=1)).bit_length() + 1), dtype=np.int64)
+    parts = np.ones((n, top.bit_length() + 1), dtype=np.int64)
     n_closed = np.zeros(n, dtype=np.int64)
     cur = np.ones(n, dtype=np.int64)
     rem = xs.copy()
@@ -233,13 +158,13 @@ def _greedy_rows(
 
 
 def _greedy_check(
-    lpf: np.ndarray, xs: np.ndarray, m: int, c0: float, c: float
+    xs: np.ndarray, m: int, c0: float, c: float, table: SmoothTable
 ) -> tuple[int, int, int]:
     """(rows checked, largest k among the x that split, count of x that do
-    not), from `_greedy_rows` over blocks of `_GREEDY_BLOCK` rows."""
+    not), from `greedy_factor` over blocks of `_GREEDY_BLOCK` rows."""
     checked = max_k = failures = 0
     for start in range(0, len(xs), _GREEDY_BLOCK):
-        _, k, ok = _greedy_rows(lpf, xs[start : start + _GREEDY_BLOCK], m, c0, c)
+        _, k, ok = greedy_factor(xs[start : start + _GREEDY_BLOCK], m, c0, c, table)
         checked += len(ok)
         max_k = max(max_k, int(k[ok].max(initial=0)))
         failures += int(np.count_nonzero(~ok))

@@ -62,10 +62,6 @@ class SolveInstance:
     def intervals(self) -> tuple[Interval, ...]:
         return self.left + self.right
 
-    @property
-    def box(self) -> int:
-        return prod(len(iv) for iv in self.intervals)
-
 
 @dataclass(frozen=True)
 class SolveReport:

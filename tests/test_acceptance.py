@@ -8,6 +8,7 @@ root mod 67, and m = 1997 needs 1995 steps); 8b is asserted as stated and
 fails honestly with the measured maximum.
 """
 
+import json
 import time
 from itertools import product as iproduct
 from math import ceil, gcd, isqrt, prod
@@ -147,7 +148,7 @@ def test_c04_solver_oracle_equivalence():
                     break
         a, b, c = (int(v) for v in gen.integers(1, p, size=3))
         inst = SolveInstance(p, a, b, c, tuple(intervals[:6]), tuple(intervals[6:]))
-        assert inst.box <= 10**6
+        assert prod(len(iv) for iv in inst.intervals) <= 10**6
         expected = naive_solve(inst)
         got = solve(inst)
         assert got.solvable == (expected is not None), (index, p, lens)
@@ -185,23 +186,27 @@ def test_c05_short_interval_fractions():
 # ---------------------------------------------------------------------------
 
 
-def test_c06_smooth_inclusion():
+def test_c06_smooth_inclusion(capsys):
+    # each m's smooth units are split in one greedy_factor call; every check
+    # still applies to every x, and the count is checked against the CLI sieve
     table = build_smooth_table(2000)
     checked = 0
     for m in range(100, 2001):
         gen = build_generator_set(m, 0.5)
         a5 = power_set_sequence(gen, n_max=5, with_witness=False).stable
-        bound = isqrt(m)
         xs = np.arange(1, m + 1, dtype=np.int64)
         eligible = (table.lpf[1 : m + 1] ** 2 <= m) & (np.gcd(xs, m) == 1)
-        members = xs[eligible].tolist()
-        for x in members:
-            fac = greedy_factor(int(x), m, 0.5, 0.5, table=table)
-            assert fac.k <= 5
-            assert all(part in gen.base for part in fac.parts)
-            assert bool(a5.mask[x % m]), (m, x)
-            checked += 1
-        assert len(members) == table.psi_q(m, bound, m)
+        members = xs[eligible]
+        parts, k, ok = greedy_factor(members, m, 0.5, 0.5, table=table)
+        assert ok.all(), (m, members[~ok])
+        assert (k <= 5).all(), (m, members[k > 5])
+        in_base = (gen.base.mask[parts] | (np.arange(parts.shape[1]) >= k[:, None])).all(axis=1)
+        assert in_base.all(), (m, members[~in_base])
+        in_a5 = a5.mask[members % m]
+        assert in_a5.all(), (m, members[~in_a5])
+        checked += len(members)
+        assert main(["smooth", "--m", str(m), "--c0", "0.5"]) == 0
+        assert len(members) == json.loads(capsys.readouterr().out)["rows"][0]["psi_coprime"]
         assert a5.cardinality >= len(members)
     report(f"6 (smooth units inside A^5 for m in [100,2000], {checked} checks, 0 failures): PASS")
 
@@ -212,6 +217,8 @@ def test_c06_smooth_inclusion():
 
 
 def test_c07_greedy_factorization_suite():
+    # each m's eligible x are split in one greedy_factor call, and every
+    # assertion is applied to every row
     table = build_smooth_table(10**4)
     checked = 0
     max_k = 0
@@ -219,15 +226,18 @@ def test_c07_greedy_factorization_suite():
         cap = isqrt(m)
         xs = np.arange(1, m + 1, dtype=np.int64)
         eligible = (table.lpf[1 : m + 1] ** 2 <= m) & (np.gcd(xs, m) == 1)
-        for x in xs[eligible].tolist():
-            fac = greedy_factor(int(x), m, 0.5, 0.5, table=table)
-            assert prod(fac.parts) == x
-            assert fac.parts[0] <= cap
-            for part in fac.parts[1:]:
-                assert part**4 >= m and part**2 <= m  # m^(1/4) <= part <= m^(1/2)
-            assert fac.k <= 5
-            max_k = max(max_k, fac.k)
-            checked += 1
+        xs = xs[eligible]
+        parts, k, ok = greedy_factor(xs, m, 0.5, 0.5, table=table)
+        assert ok.all(), (m, xs[~ok])
+        assert (parts.prod(axis=1) == xs).all(), m
+        assert (parts[:, 0] <= cap).all(), m
+        cols = np.arange(parts.shape[1])
+        later = (cols >= 1) & (cols < k[:, None])
+        # m^(1/4) <= part <= m^(1/2) for every part after the first
+        assert (~later | ((parts**4 >= m) & (parts**2 <= m))).all(), m
+        assert (k <= 5).all(), m
+        max_k = max(max_k, int(k.max()))
+        checked += len(xs)
     report(f"7 (greedy suite exhaustive m<=1e4, {checked} factorizations, max k={max_k} <= 5): PASS")
 
 

@@ -366,6 +366,12 @@ class TestRepresentCommand:
         assert code == 2
         assert "degenerate" in err
 
+    def test_composite_modulus_other_target_exit_two(self, capsys):
+        code, out, err = run(capsys, ["represent", "--m", "15", "--target", "4", "--cutoff", "3"])
+        assert (code, out) == (2, "")
+        assert "modulus 15 is not prime" in err
+        assert "only target 1" in err
+
     @pytest.mark.parametrize("m", ["0", "1"])
     def test_modulus_below_two_exit_two(self, capsys, m):
         code, out, err = run(capsys, ["represent", "--m", m, "--target", "1", "--cutoff", "2"])

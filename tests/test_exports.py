@@ -1,9 +1,12 @@
 """The package's public names, pinned: adding or removing an export means
-updating this list on purpose. Two source checks ride along: no module keeps
-an import it does not use, and every export has a caller inside the package."""
+updating this list on purpose. Source checks ride along: no module keeps an
+import it does not use, every export and every public method or property of an
+exported class has a caller inside the package, and no exemption outlives its
+reason."""
 
 import ast
 import types
+from collections import Counter
 from pathlib import Path
 
 import prodcong
@@ -12,7 +15,7 @@ EXPORTS = [
     "CharProfile", "CoverageResult", "DomainError", "EnergyDiagnostic", "FieldContext",
     "GeneratorSet", "GrowthReport", "Interval", "NotRepresentableError", "OlsonCheck",
     "ProdcongError", "Representation", "ResidueSet", "ResourceError", "ScanResult",
-    "SmoothFactorization", "SmoothTable", "SolveInstance", "SolveReport", "ThresholdResult",
+    "SmoothTable", "SolveInstance", "SolveReport", "ThresholdResult",
     "abc_scan", "build_field_context", "build_generator_set", "build_smooth_table",
     "burgess_profile", "ceil_power", "char_sum", "coverage_check", "energy_diagnostic",
     "euler_phi", "factorize", "floor_power", "greedy_factor", "is_prime", "is_subgroup",
@@ -29,9 +32,6 @@ NO_CALLER = {
     # growth.power_residue_index.self_s metrics in ROADMAP item 1's benchmark change
     "is_subgroup",
     "power_residue_index",
-    # the one-x form of the batched _greedy_rows behind `smooth --check-greedy`:
-    # acceptance c06/c07 factor with it, and perfbench traces it
-    "greedy_factor",
 }
 
 MODULES = sorted(
@@ -72,22 +72,58 @@ def test_no_unused_module_imports():
     assert unused == []
 
 
-def test_every_export_has_a_caller():
-    # A use is a Name or Attribute node in some top-level statement other than
-    # the export's own def or class, so docstrings and quoted annotations,
-    # being strings, never count.
+def _export_uses():
+    """Whether each export is used outside its own def or class.
+
+    A use is a Name or Attribute node in some top-level statement other than
+    the export's own def or class, so docstrings and quoted annotations,
+    being strings, never count."""
     used_outside = {name: False for name in _exports()}
     for path in MODULES:
         for stmt in _parse(path).body:
             own = getattr(stmt, "name", None)
-            for node in ast.walk(stmt):
-                if isinstance(node, ast.Name):
-                    name = node.id
-                elif isinstance(node, ast.Attribute):
-                    name = node.attr
-                else:
-                    continue
+            for name in _reads(stmt):
                 if name in used_outside and name != own:
                     used_outside[name] = True
-    uncalled = [n for n, used in used_outside.items() if not used and n not in NO_CALLER]
+    return used_outside
+
+
+def _reads(tree):
+    """Counter of the names read as a Name or Attribute node under tree."""
+    return Counter(
+        node.id if isinstance(node, ast.Name) else node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute))
+    )
+
+
+def _public_methods():
+    """(class, def node) for each public method or property of an exported class."""
+    exported = set(_exports())
+    return [
+        (stmt.name, node)
+        for path in MODULES
+        for stmt in _parse(path).body
+        if isinstance(stmt, ast.ClassDef) and stmt.name in exported
+        for node in stmt.body
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+    ]
+
+
+def test_every_export_has_a_caller():
+    # Methods and properties of exported classes follow the same rule, by
+    # name: a use anywhere in the package outside the method's own def counts.
+    uncalled = [n for n, used in _export_uses().items() if not used and n not in NO_CALLER]
+    reads = sum((_reads(_parse(path)) for path in MODULES), Counter())
+    uncalled += [
+        f"{cls}.{node.name}"
+        for cls, node in _public_methods()
+        if reads[node.name] == _reads(node)[node.name]
+    ]
     assert uncalled == []
+
+
+def test_no_stale_exemption():
+    # an exempt name that gained a caller, or stopped being an export, leaves NO_CALLER
+    used = _export_uses()
+    assert sorted(name for name in NO_CALLER if used.get(name, True)) == []

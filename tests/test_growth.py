@@ -348,7 +348,7 @@ class TestRepresentTarget:
             unstable.represent(4)
 
     def test_composite_modulus_rejected(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="modulus 8 is not prime"):
             represent_target(8, 3, cutoff=3)
 
 
@@ -361,16 +361,15 @@ class TestSmoothInclusion:
             gen = build_generator_set(m, 0.5)
             a5 = power_set_sequence(gen, n_max=5, with_witness=False).stable
             bound = isqrt(m)
-            count = 0
-            for x in range(1, m + 1):
-                if gcd(x, m) != 1 or table.largest_prime_factor(x) > bound:
-                    continue
-                fac = greedy_factor(x, m, 0.5, 0.5, table=table)
-                assert all(part in gen.base for part in fac.parts)
+            xs = [x for x in range(1, m + 1) if gcd(x, m) == 1 and table.lpf[x] <= bound]
+            parts, k, ok = greedy_factor(xs, m, 0.5, 0.5, table=table)
+            assert ok.all()
+            for x, row, k_x in zip(xs, parts.tolist(), k.tolist()):
+                assert all(part in gen.base for part in row[:k_x])
                 assert x % m in a5
-                count += 1
-            assert a5.cardinality >= count
-            assert count == table.psi_q(m, bound, m)
+            assert a5.cardinality >= len(xs)
+            units = np.gcd(np.arange(1, m + 1), m) == 1
+            assert len(xs) == np.count_nonzero(units & (table.lpf[1 : m + 1] <= bound))
 
 
 def closed_under_products(m, s) -> bool:

@@ -1,6 +1,5 @@
 import tracemalloc
-from fractions import Fraction
-from math import gcd, isqrt, prod
+from math import isqrt, prod
 
 import numpy as np
 import pytest
@@ -8,10 +7,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from prodcong import smooth
-from prodcong.arith import ceil_power, euler_phi, floor_power
-from prodcong.errors import DomainError, ProdcongError, ResourceError
-from prodcong.smooth import SmoothFactorization, build_smooth_table, greedy_factor
-from reference_smooth import greedy_parts_reference
+from prodcong.arith import ceil_power, floor_power
+from prodcong.errors import DomainError, ResourceError
+from prodcong.smooth import build_smooth_table, greedy_factor
+from reference_smooth import greedy_factor_reference, greedy_parts_reference, prime_factors_desc
 
 
 def trial_lpf(n: int) -> int:
@@ -34,25 +33,16 @@ def table():
 
 class TestSmoothTable:
     def test_examples(self, table):
-        assert table.largest_prime_factor(12) == 3
-        assert table.largest_prime_factor(1) == 1
-        assert table.largest_prime_factor(97) == 97
+        assert table.lpf[12] == 3
+        assert table.lpf[1] == 1
+        assert table.lpf[97] == 97
 
     def test_matches_trial_division(self, table):
-        for n in range(1, 500):
-            assert table.largest_prime_factor(n) == trial_lpf(n)
-
-    def test_factor_desc(self, table):
-        assert table.factor_desc(9240) == [11, 7, 5, 3, 2, 2, 2]
-        assert table.factor_desc(1) == []
-        for n in (2, 97, 360, 9973):
-            factors = table.factor_desc(n)
-            assert prod(factors) == n
-            assert factors == sorted(factors, reverse=True)
+        assert table.lpf[1:500].tolist() == [trial_lpf(n) for n in range(1, 500)]
 
     def test_out_of_range(self, table):
         with pytest.raises(DomainError):
-            table.largest_prime_factor(10**4 + 1)
+            table.psi(10**4 + 1, 2)
 
     def test_cap(self, monkeypatch):
         monkeypatch.setenv("PRODCONG_SIEVE_CAP", "100")
@@ -61,11 +51,11 @@ class TestSmoothTable:
 
     def test_shared_table_refuses_beyond_cap(self, monkeypatch):
         # the kept table covers 6000 here, and is still not used past the cap
-        greedy_factor(6000, 7000, 0.5, 0.5)
+        greedy_factor([6000], 7000, 0.5, 0.5)
         monkeypatch.setenv("PRODCONG_SIEVE_CAP", "5000")
         with pytest.raises(ResourceError, match="sieve cap 5000"):
-            greedy_factor(6000, 7000, 0.5, 0.5)
-        greedy_factor(5000, 7000, 0.5, 0.5)
+            greedy_factor([6000], 7000, 0.5, 0.5)
+        greedy_factor([5000], 7000, 0.5, 0.5)
 
 
 class TestPsi:
@@ -82,58 +72,39 @@ class TestPsi:
             values = [table.psi(x, y) for y in np.linspace(1, x, 25)]
             assert values == sorted(values)
 
-    def test_psi_q_examples(self, table):
-        assert table.psi_q(10, 3, 10) == 3  # {1, 3, 9}
-        assert table.psi_q(6, 5, 6) == 2  # {1, 5}
-        for x in (10, 50, 120):
-            for y in (2, 5, 11):
-                assert table.psi_q(x, y, 1) == table.psi(x, y)
 
-    def test_psi_q_dominated_by_psi(self, table):
-        for x in (17, 99, 360):
-            for y in (2, 3, 10):
-                for q in (2, 6, 30, x):
-                    assert table.psi_q(x, y, q) <= table.psi(x, y)
-
-    def test_unit_smooth_density_positive_at_03(self, table):
-        for m in (100, 127, 500, 1024, 3000, 10**4):
-            density = table.unit_smooth_density(m, m**0.3)
-            assert isinstance(density, Fraction)
-            assert density > 0
-            assert density == Fraction(table.psi_q(m, m**0.3, m), euler_phi(m))
+def split(x, m, c0, c, table=None):
+    """greedy_factor on the one x: its parts, or None where ok is False."""
+    parts, k, ok = greedy_factor([x], m, c0, c, table=table)
+    return tuple(parts[0, : k[0]].tolist()) if ok[0] else None
 
 
 class TestGreedyFactor:
     def test_fits_in_one_part(self, table):
-        fac = greedy_factor(60, 10**4, 0.5, 0.5, table=table)
-        assert fac.parts == (60,)
-        assert fac.k == 1
+        assert split(60, 10**4, 0.5, 0.5, table) == (60,)
 
     def test_unit(self, table):
-        assert greedy_factor(1, 10**4, 0.5, 0.5, table=table).parts == (1,)
+        assert split(1, 10**4, 0.5, 0.5, table) == (1,)
 
     def test_packing_example(self, table):
         # primes 11,7,5,3,2,2,2 pack to 77 then 60; the leftover 2 leads
-        fac = greedy_factor(9240, 10**4, 0.5, 0.5, table=table)
-        assert fac.parts == (2, 77, 60)
+        assert split(9240, 10**4, 0.5, 0.5, table) == (2, 77, 60)
 
     def test_non_smooth_rejected(self, table):
-        with pytest.raises(DomainError):
-            greedy_factor(3 * 101, 10**4, 0.5, 0.5, table=table)
+        assert split(3 * 101, 10**4, 0.5, 0.5, table) is None
 
     def test_no_primes_below_bound_rejected(self):
-        with pytest.raises(DomainError):
-            greedy_factor(2, 3, 0.5, 0.5)
+        assert split(2, 3, 0.5, 0.5) is None
 
     def test_x_above_m_rejected(self, table):
         with pytest.raises(DomainError):
-            greedy_factor(101, 100, 0.5, 0.5, table=table)
+            greedy_factor([101], 100, 0.5, 0.5, table=table)
 
     def test_invalid_exponents(self, table):
         with pytest.raises(DomainError):
-            greedy_factor(4, 100, 0.7, 0.5, table=table)
+            greedy_factor([4], 100, 0.7, 0.5, table=table)
         with pytest.raises(DomainError):
-            greedy_factor(4, 100, 0.5, 1.0, table=table)
+            greedy_factor([4], 100, 0.5, 1.0, table=table)
 
     @given(st.data())
     def test_random_instances_satisfy_contract(self, data):
@@ -144,17 +115,15 @@ class TestGreedyFactor:
         bound = floor_power(m, c0)
         if bound < 2:
             return
-        candidates = [
-            x for x in range(1, m + 1) if table.largest_prime_factor(x) <= bound
-        ]
+        candidates = (np.flatnonzero(table.lpf[1 : m + 1] <= bound) + 1).tolist()
         x = data.draw(st.sampled_from(candidates))
-        fac = greedy_factor(x, m, c0, c, table=table)
+        parts = split(x, m, c0, c, table)
         cap = floor_power(m, c)
         lo = ceil_power(m, c / 2)
-        assert prod(fac.parts) == x
-        assert fac.parts[0] <= cap
-        assert all(lo <= part <= cap for part in fac.parts[1:])
-        assert fac.k <= int(np.ceil(2 / c0)) + 1
+        assert prod(parts) == x
+        assert parts[0] <= cap
+        assert all(lo <= part <= cap for part in parts[1:])
+        assert len(parts) <= int(np.ceil(2 / c0)) + 1
 
     @pytest.mark.parametrize("c0, c", [(0.3, 0.3), (0.4, 0.4), (0.5, 0.5), (0.3, 0.55)])
     def test_matches_merge_loop_reference(self, table, c0, c):
@@ -168,17 +137,31 @@ class TestGreedyFactor:
                 largest[bounds] = m
         checked = 0
         for (bound, _, _), m in largest.items():
-            for x in np.flatnonzero(table.lpf[1 : m + 1] <= bound).tolist():
-                x += 1
-                fac = greedy_factor(x, m, c0, c, table=table)
-                assert fac.parts == greedy_parts_reference(table.factor_desc(x), m, c), (x, m)
+            xs = np.flatnonzero(table.lpf[1 : m + 1] <= bound) + 1
+            parts, k, ok = greedy_factor(xs, m, c0, c, table=table)
+            assert ok.all(), (m, xs[~ok])
+            for x, row, k_x in zip(xs.tolist(), parts.tolist(), k.tolist()):
+                want = greedy_parts_reference(prime_factors_desc(table.lpf, x), m, c)
+                assert tuple(row[:k_x]) == want, (x, m)
                 checked += 1
         assert checked > 1000
 
     def test_deterministic(self, table):
-        a = greedy_factor(7560, 10**4, 0.5, 0.5, table=table)
-        b = greedy_factor(7560, 10**4, 0.5, 0.5, table=table)
-        assert a.parts == b.parts
+        a = greedy_factor([7560, 9240], 10**4, 0.5, 0.5, table=table)
+        b = greedy_factor([7560, 9240], 10**4, 0.5, 0.5, table=table)
+        for first, second in zip(a, b):
+            assert np.array_equal(first, second)
+
+    def test_exhaustive_coprime_sweep_small(self):
+        # every sqrt(m)-smooth x <= m coprime to m splits within bounds
+        table = _hyp_table()
+        for m in range(4, 400):
+            xs = np.arange(1, m + 1)
+            xs = xs[(np.gcd(xs, m) == 1) & (table.lpf[1 : m + 1] <= isqrt(m))]
+            parts, k, ok = greedy_factor(xs, m, 0.5, 0.5, table=table)
+            assert ok.all(), (m, xs[~ok])
+            assert (parts.prod(axis=1) == xs).all(), m
+            assert (k <= 5).all(), m
 
 
 _HYP_TABLE = None
@@ -191,42 +174,20 @@ def _hyp_table():
     return _HYP_TABLE
 
 
-class TestSmoothFactorizationValidation:
-    def test_rejects_bad_product(self):
-        with pytest.raises(DomainError):
-            SmoothFactorization(10, 10**4, 0.5, 0.5, (2, 3))
-
-    def test_rejects_oversized_part(self):
-        with pytest.raises(DomainError):
-            SmoothFactorization(101 * 2, 10**4, 0.5, 0.5, (2, 101))
-
-    def test_exhaustive_coprime_sweep_small(self):
-        # every sqrt(m)-smooth x <= m coprime to m splits within bounds
-        table = _hyp_table()
-        for m in range(4, 400):
-            bound = isqrt(m)
-            for x in range(1, m + 1):
-                if gcd(x, m) != 1 or table.largest_prime_factor(x) > bound:
-                    continue
-                fac = greedy_factor(x, m, 0.5, 0.5, table=table)
-                assert prod(fac.parts) == x
-                assert fac.k <= 5
-
-
 def greedy_reference(xs, m, c0, c, table):
-    """greedy_factor on each x: its parts, or None where it raises."""
+    """The scalar reference on each x: its parts, or None where it raises."""
     out = []
-    for x in xs:
+    for x in xs.tolist():
         try:
-            out.append(greedy_factor(x, m, c0, c, table=table).parts)
-        except ProdcongError:
+            out.append(greedy_factor_reference(x, m, c0, c, table.lpf))
+        except DomainError:
             out.append(None)
     return out
 
 
 def assert_rows_match(table, m, c0, c):
     xs = np.arange(1, m + 1)
-    parts, k, ok = smooth._greedy_rows(table.lpf, xs, m, c0, c)
+    parts, k, ok = greedy_factor(xs, m, c0, c, table=table)
     for x, want, row, k_x, ok_x in zip(xs, greedy_reference(xs, m, c0, c, table), parts, k, ok):
         assert ok_x == (want is not None), (m, x)
         if want is not None:
@@ -251,7 +212,31 @@ class TestGreedyKernel:
     def test_bound_one(self, table):
         # floor(3**0.1) = 1: only x = 1 splits
         assert_rows_match(table, 3, 0.1, 0.1)
-        assert smooth._greedy_check(table.lpf, np.arange(1, 4), 3, 0.1, 0.1) == (3, 1, 2)
+        assert smooth._greedy_check(np.arange(1, 4), 3, 0.1, 0.1, table) == (3, 1, 2)
+
+    @pytest.mark.parametrize("xs, m, c0, c", [
+        ([0], 100, 0.5, 0.5),
+        ([101], 100, 0.5, 0.5),
+        ([1], 1, 0.5, 0.5),
+        ([4], 100, 0.0, 0.5),
+        ([4], 100, 0.7, 0.5),
+        ([4], 100, 0.5, 1.0),
+        ([200], 300, 0.5, 0.5),  # beyond the table passed
+    ], ids=["x_below_one", "x_above_m", "m_below_two", "c0_zero", "c0_above_c", "c_one",
+            "beyond_table"])
+    def test_call_level_refusals_raise(self, xs, m, c0, c):
+        # what the scalar form refused for any x refuses the whole call,
+        # also when the refused x sits among valid ones
+        small = build_smooth_table(150)
+        with pytest.raises(DomainError):
+            greedy_factor_reference(xs[0], m, c0, c, small.lpf)
+        for batch in (xs, [1, 2, *xs]):
+            with pytest.raises(DomainError):
+                greedy_factor(batch, m, c0, c, table=small)
+
+    def test_xs_must_be_one_dimensional(self, table):
+        with pytest.raises(DomainError):
+            greedy_factor([[2, 3]], 100, 0.5, 0.5, table=table)
 
     @pytest.mark.parametrize("tighten", [
         lambda b: (b[0] - 3, b[1], b[2], b[3]),
@@ -274,7 +259,7 @@ class TestGreedyKernel:
         want = [parts for parts in greedy_reference(xs, m, c0, c0, table) if parts]
         summary = (m, max(map(len, want)), m - len(want))
         monkeypatch.setattr(smooth, "_GREEDY_BLOCK", 7)
-        assert smooth._greedy_check(table.lpf, xs, m, c0, c0) == summary
+        assert smooth._greedy_check(xs, m, c0, c0, table) == summary
 
     def test_memory_is_bounded_by_the_block(self):
         # one block holds a part matrix of bit_length(m) + 1 int64 columns;
@@ -286,7 +271,7 @@ class TestGreedyKernel:
         assert len(xs) * (m.bit_length() + 1) * 8 > 10 * limit  # unblocked, it would not fit
         tracemalloc.start()
         try:
-            checked, max_k, failures = smooth._greedy_check(table.lpf, xs, m, 0.5, 0.5)
+            checked, max_k, failures = smooth._greedy_check(xs, m, 0.5, 0.5, table)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
