@@ -1,5 +1,6 @@
 """Exact integer arithmetic over residue rings: factorization, totients,
-primitive roots, and dense discrete-log tables.
+primitive roots, and discrete logs (a dense index table built on first use,
+or a baby-step giant-step lookup for a few units).
 
 Everything here is deterministic: the Pollard-rho fallback walks a fixed
 parameter schedule, so repeated runs factor identically.
@@ -10,7 +11,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import gcd, isfinite, isqrt, log2
 
 import numpy as np
@@ -143,36 +144,87 @@ def primitive_root(p: int) -> int:
     raise ArithmeticError("no primitive root found")
 
 
+def _baby_steps(p: int, g: int) -> np.ndarray:
+    """The baby powers g**j mod p for j < b = ceil(sqrt(p-1)): every exponent
+    e < p-1 is i*b + j with j < b and i < ceil((p-1)/b)."""
+    return np.array([pow(g, j, p) for j in range(isqrt(p - 2) + 1)], dtype=np.int64)
+
+
 @dataclass(frozen=True)
 class FieldContext:
-    """A prime field with its smallest primitive root and full index table.
+    """A prime field with a primitive root g, and the discrete logs of its units.
 
-    dlog[x] is the exponent e with g**e == x (mod p) for x in 1..p-1;
-    dlog[0] = -1 is a sentinel (0 has no index).
+    dlog is the full index table, built on first use and read-only afterwards:
+    dlog[x] is the exponent e with g**e == x (mod p) for x in 1..p-1, and
+    dlog[0] = -1 is a sentinel (0 has no index). index(xs) gives the logs of a
+    few units without it, by one baby-step giant-step pass.
     """
 
     p: int
     g: int
-    dlog: np.ndarray
+
+    # The table lists g**e for e = i*b + j as (g**b)**i * g**j: one outer
+    # product of the giant and baby power tables, taken mod p in place, holds
+    # every power in exponent order, and dlog inverts that permutation.
+    @cached_property
+    def dlog(self) -> np.ndarray:
+        p, g = self.p, self.g
+        small = _baby_steps(p, g)
+        b = small.size
+        giant = np.array([pow(g, b * i, p) for i in range(-(-(p - 1) // b))], dtype=np.int64)
+        powers = np.multiply.outer(giant, small)
+        np.remainder(powers, p, out=powers)
+        dlog = np.full(p, -1, dtype=np.int64)
+        dlog[powers.ravel()[: p - 1]] = np.arange(p - 1)
+        dlog.setflags(write=False)
+        return dlog
+
+    @cached_property
+    def _sorted_baby(self) -> tuple[np.ndarray, np.ndarray]:
+        """The baby powers in increasing order, and the exponent of each."""
+        small = _baby_steps(self.p, self.g)
+        order = np.argsort(small)
+        return small[order], order
+
+    def index(self, units) -> np.ndarray:
+        """int64 discrete logs of an array of units in 1..p-1.
+
+        Reads the table if it is built, or if the lookup would do more work
+        than building it: |xs| * ceil((p-1)/b) cells, each a binary search of
+        bit_length(b) steps, against the table's p-1 entries. Otherwise x =
+        g**(i*b + j) is found as the first giant step i whose x * g**(-b*i)
+        is a baby power g**j; an earlier step would give an exponent j >= b,
+        so the first hit is the log."""
+        p, n = self.p, self.p - 1
+        xs = np.asarray(units, dtype=np.int64)
+        if xs.size and (xs.min() < 1 or xs.max() > n):
+            raise DomainError(f"only the units 1..{n} have a discrete log mod {p}")
+        b = isqrt(p - 2) + 1  # the baby step count of _baby_steps
+        rows = -(-n // b)
+        if "dlog" in vars(self) or xs.size * rows * b.bit_length() >= n:
+            return self.dlog[xs]
+        baby, exps = self._sorted_baby
+        step, giant = pow(self.g, -b, p), [1]
+        for _ in range(rows - 1):
+            giant.append(giant[-1] * step % p)
+        cells = np.multiply.outer(xs, np.array(giant, dtype=np.int64))
+        np.remainder(cells, p, out=cells)
+        at = np.searchsorted(baby, cells)
+        np.minimum(at, b - 1, out=at)
+        hit = baby[at] == cells
+        i = hit.argmax(axis=1)
+        rows_of = np.arange(xs.size)
+        if not hit[rows_of, i].all():
+            raise ArithmeticError(f"g={self.g} does not generate every unit mod {p}")
+        return i * b + exps[at[rows_of, i]]
 
 
-# Each context holds a p-entry int64 table (up to 32 MB at the table cap), and
-# no caller reuses more than the current prime, so only the last two are kept.
-# The table lists g**e for e = i*b + j as (g**b)**i * g**j with b = ceil(sqrt(p-1)):
-# one outer product of two sqrt(p)-length power tables, taken mod p in place,
-# holds every power in exponent order, and dlog inverts that permutation.
+# A context is kept per prime for the table that _dlog_product_mask reads
+# (p int64 entries, up to 32 MB at the table cap), and no caller reuses more
+# than the current prime, so only the last two are kept.
 @lru_cache(maxsize=2)
 def _field_context(p: int) -> FieldContext:
-    g = primitive_root(p)
-    b = isqrt(p - 2) + 1
-    small = np.array([pow(g, j, p) for j in range(b)], dtype=np.int64)
-    giant = np.array([pow(g, b * i, p) for i in range(-(-(p - 1) // b))], dtype=np.int64)
-    powers = np.multiply.outer(giant, small)
-    np.remainder(powers, p, out=powers)
-    dlog = np.full(p, -1, dtype=np.int64)
-    dlog[powers.ravel()[: p - 1]] = np.arange(p - 1)
-    dlog.setflags(write=False)
-    return FieldContext(p, g, dlog)
+    return FieldContext(p, primitive_root(p))
 
 
 def build_field_context(p: int) -> FieldContext:

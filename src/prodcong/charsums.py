@@ -1,12 +1,14 @@
 """Multiplicative characters mod p and product-collision energies.
 
-Characters are realized through the discrete-log table: chi_j(x) is the
-(j * dlog[x])-th root of unity of order p-1, chi_j(0) = 0, and j = 0 is the
-principal character. A set's character sums are the DFT of its (real)
-discrete-log indicator, so |S(chi_{p-1-j})| = |S(chi_j)| and only
-j = 0..(p-1)/2 are computed: for a small set, as one blocked matrix product of
-exact phase tables (|set| multiply-adds per character), and for a dense one by
-one complex FFT of half length. The collision
+Characters are realized through discrete logs: chi_j(x) is the
+(j * dlog x)-th root of unity of order p-1, chi_j(0) = 0, and j = 0 is the
+principal character. The logs of a set's members come from
+`FieldContext.index`, so a short interval costs a baby-step giant-step pass
+over its own members, not the p-entry table. A set's character sums are the
+DFT of its (real) discrete-log indicator, so |S(chi_{p-1-j})| = |S(chi_j)|
+and only j = 0..(p-1)/2 are computed: for a small set, as one blocked matrix
+product of exact phase tables (|set| multiply-adds per character), and for a
+dense one by one complex FFT of half length. The collision
 count J (solutions of x1 y1 = x2 y2) is always computed exactly by
 multiplicity histogram; the character identity is evaluated numerically as an
 independent cross-check and rounded to the integer it must equal.
@@ -62,7 +64,7 @@ def _gemm_spectrum(ctx: FieldContext, members: np.ndarray) -> np.ndarray:
     bins = n // 2 + 1
     width = isqrt(bins - 1) + 1
     rows = -(-bins // width)
-    d = ctx.dlog[members]
+    d = ctx.index(members)
     turn = -2j * np.pi / n
     left = np.exp(turn * (np.multiply.outer(np.arange(rows) * width % n, d) % n))
     right = np.exp(turn * (np.multiply.outer(d, np.arange(width)) % n))
@@ -84,7 +86,7 @@ def _fft_spectrum(ctx: FieldContext, members: np.ndarray) -> np.ndarray:
     n = ctx.p - 1
     half = n // 2
     z = np.zeros(half, dtype=np.complex128)
-    z.view(np.float64)[ctx.dlog[members]] = 1.0
+    z.view(np.float64)[ctx.index(members)] = 1.0
     np.fft.fft(z, out=z)
     mags = np.empty(half + 1)
     mags[half] = abs(z[0].real - z[0].imag)
@@ -148,7 +150,7 @@ def char_sum(ctx: FieldContext, j: int, values: Values) -> complex:
     members = _unit_members(values, p)
     if members.size == 0:
         return 0j
-    k = (j * ctx.dlog[members]) % (p - 1)
+    k = (j * ctx.index(members)) % (p - 1)
     return complex(np.exp(2j * np.pi * k / (p - 1)).sum())
 
 
@@ -190,9 +192,10 @@ def product_energy_via_characters(
     every integer raises AssertionError.
     """
     p = ctx.p
-    tx = _dlog_spectrum(ctx, _unit_members(x_values, p)) ** 2
-    ty = _dlog_spectrum(ctx, _unit_members(y_values, p)) ** 2
-    terms = tx * ty
+    sx = _dlog_spectrum(ctx, _unit_members(x_values, p))
+    sy = _dlog_spectrum(ctx, _unit_members(y_values, p))
+    terms = np.square(sx)  # the one (p+1)/2 buffer: X = Y shares its spectrum
+    terms *= terms if sy is sx else np.square(sy)
     if terms.size > 1:
         total = float(2.0 * terms.sum() - terms[0] - terms[-1]) / (p - 1)
     else:

@@ -205,10 +205,12 @@ def cmd_growth(args) -> tuple[Report, int]:
 
 def cmd_charsum(args) -> tuple[Report, int]:
     primes = _parse_prime_list(args.p)
-    # checked before any dlog table is built, so a refusal costs no table and a
-    # prime over the cap still exits 2
+    # checked before any field context is built, so a refusal costs no
+    # primitive root or table and a prime over the cap still exits 2
     if args.n0 < 1:
         raise DomainError("n0 must be >= 1")
+    if args.len < 1:
+        raise DomainError("interval length must satisfy 1 <= len < p")
     if args.len >= min(primes):
         raise DomainError("interval length must be below p")
     rows = []

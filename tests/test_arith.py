@@ -2,6 +2,8 @@ import gc
 import tracemalloc
 import weakref
 from fractions import Fraction
+from functools import lru_cache
+from math import isqrt
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from hypothesis import strategies as st
 
 from prodcong import arith
 from prodcong.arith import (
+    FieldContext,
     build_field_context,
     ceil_power,
     euler_phi,
@@ -193,6 +196,80 @@ class TestFieldContext:
         refs = [weakref.ref(build_field_context(p)) for p in (1009, 1013, 1019, 1021, 1031)]
         gc.collect()
         assert sum(ref() is not None for ref in refs) <= 2
+
+
+# 65537 - 1 = 2**16, and 4194301 is the largest prime under the table cap.
+LOOKUP_PRIMES = [2, 3, 5, 65537, 999983, 4194301]
+
+
+@lru_cache(maxsize=1)
+def _lookup_case(p):
+    """(g, the reference table, a context whose table the lookup may build)."""
+    g = primitive_root(p)
+    return g, dlog_reference(p, g), FieldContext(p, g)
+
+
+@st.composite
+def lookup_members(draw, p, g):
+    """Units mod p in no order and with repeats: 1, p-1, g, g**-1, units whose
+    log is a multiple of b or b-1, and random units."""
+    b = isqrt(p - 2) + 1
+    special = [1, p - 1, g % p, pow(g, -1, p)]
+    special += [pow(g, k * step, p) for step in (b, b - 1) for k in range(1, 4)]
+    multiple = st.builds(
+        lambda k, step: pow(g, k * step, p), st.integers(0, p - 2), st.sampled_from([b, b - 1])
+    )
+    drawn = draw(st.lists(st.one_of(st.integers(1, p - 1), multiple), max_size=12))
+    repeats = draw(st.lists(st.sampled_from(special), max_size=4))
+    return draw(st.permutations(special + drawn + repeats))
+
+
+class TestIndexLookup:
+    @pytest.mark.parametrize("p", LOOKUP_PRIMES)
+    @given(data=st.data())
+    def test_matches_reference_on_both_branches(self, p, data):
+        g, reference, dense = _lookup_case(p)
+        xs = data.draw(lookup_members(p, g))
+        n, b = p - 1, isqrt(p - 2) + 1
+        searched = -(-n // b) * b.bit_length()
+        # the largest count whose lookup does less work than the table's p-1
+        few = -(-n // searched) - 1
+        fresh = FieldContext(p, g)
+        if few:  # at p = 2 only the empty lookup is cheaper than the table
+            for lo in range(0, len(xs), few):
+                part = np.array(xs[lo : lo + few])
+                assert fresh.index(part).tolist() == reference[part].tolist()
+        assert "dlog" not in vars(fresh)
+        # padded to the count at which reading the table pays
+        many = np.resize(np.array(xs), max(len(xs), few + 1))
+        looked_up = dense.index(many)
+        assert "dlog" in vars(dense)
+        assert looked_up.dtype == np.int64
+        assert looked_up.tolist() == reference[many].tolist()
+
+    @pytest.mark.parametrize("p", [5, 999983])
+    def test_non_unit_refused_on_both_branches(self, p):
+        ctx = FieldContext(p, primitive_root(p))
+        for x in (0, -1, p, 2 * p + 1):
+            for xs in ([x], [1] * (p - 1) + [x]):
+                with pytest.raises(DomainError, match="discrete log"):
+                    ctx.index(np.array(xs))
+        assert "dlog" not in vars(ctx)
+        assert ctx.index(np.array([], dtype=np.int64)).tolist() == []
+
+    def test_missing_hit_raises(self):
+        # 2 has order 3 mod 7, so no giant step takes 3 into its baby powers
+        # {1, 2, 4}; the row must raise, not read argmax's 0
+        ctx = FieldContext(7, 2)
+        with pytest.raises(ArithmeticError, match="does not generate"):
+            ctx.index(np.array([3]))
+        assert "dlog" not in vars(ctx)
+
+    def test_context_builds_no_table(self):
+        arith._field_context.cache_clear()
+        ctx = build_field_context(999983)
+        assert "dlog" not in vars(ctx)
+        assert ctx.index(np.arange(1, 48)).tolist() == ctx.dlog[1:48].tolist()
 
 
 class TestPowers:

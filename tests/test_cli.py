@@ -3,13 +3,14 @@ import hashlib
 import io
 import json
 import shlex
+import tracemalloc
 from math import prod
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from prodcong import charsums, cli
+from prodcong import arith, charsums, cli
 from prodcong.cli import main
 
 
@@ -228,6 +229,8 @@ class TestCharsumCommand:
         [
             (["--p", "999983", "--len", "40", "--n0", "0"], "n0 must be >= 1"),
             (["--p", "999983,101", "--len", "200"], "interval length must be below p"),
+            (["--p", "999983", "--len", "0"], "interval length must satisfy 1 <= len < p"),
+            (["--p", "999983", "--len", "-5"], "interval length must satisfy 1 <= len < p"),
         ],
     )
     def test_refused_before_any_table(self, capsys, monkeypatch, args, message):
@@ -236,6 +239,24 @@ class TestCharsumCommand:
         code, out, err = run(capsys, ["charsum", *args])
         assert (code, out, built) == (2, "", [])
         assert err == f"error: {message}\n"
+
+    def test_row_builds_no_dlog_table(self, capsys, monkeypatch):
+        # a row reads the logs of its len members by baby-step giant-step,
+        # so the p-entry index table (8p bytes, 24 MB with its build buffers)
+        # is never made; what remains is the exact count's p-entry histogram
+        # and the (p+1)/2 spectrum the row keeps, under two tables together
+        p = 999983
+        arith._field_context.cache_clear()
+        monkeypatch.setattr(charsums, "_last_spectrum", None)
+        tracemalloc.start()
+        try:
+            code, _, _ = run(capsys, ["charsum", "--p", str(p), "--len", "47"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak < 2 * 8 * p
+        assert "dlog" not in vars(arith.build_field_context(p))
 
 
 _ANCHORED = "3:4,7:4,1:5,0:3,20:4,9:4,0:4,2:4,11:3,5:4,30:3,4:4,0:2"
