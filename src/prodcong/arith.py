@@ -176,6 +176,8 @@ class FieldContext:
         np.remainder(powers, p, out=powers)
         dlog = np.full(p, -1, dtype=np.int64)
         dlog[powers.ravel()[: p - 1]] = np.arange(p - 1)
+        if (dlog[1:] < 0).any():
+            raise ArithmeticError(f"g={g} does not generate every unit mod {p}")
         dlog.setflags(write=False)
         return dlog
 

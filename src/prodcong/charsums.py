@@ -23,7 +23,7 @@ from typing import Iterable, NamedTuple, Union
 import numpy as np
 
 from .arith import FieldContext, is_prime
-from .errors import DomainError
+from .errors import DomainError, ResourceError
 from .residues import Interval, ResidueSet
 
 Values = Union[Interval, ResidueSet, Iterable[int]]
@@ -54,17 +54,16 @@ def _gemm_pays(count: int, bins: int) -> bool:
     return count <= _GEMM_MEMBERS_PER_BIT * bins.bit_length()
 
 
-def _gemm_spectrum(ctx: FieldContext, members: np.ndarray) -> np.ndarray:
-    """The half spectrum as a matrix product: with w = ceil(sqrt(bins)), bin
-    j = a*w + i has the sum over members of e(-a*w*d/(p-1)) * e(-i*d/(p-1)), d
-    the member's dlog. Each phase is reduced mod p-1 in int64 before it becomes
-    a float (the field context refuses p whose (p-1)**2 overflows), so no
-    rounding accumulates across bins."""
+def _gemm_spectrum(ctx: FieldContext, d: np.ndarray) -> np.ndarray:
+    """The half spectrum of the members with dlogs d, as a matrix product:
+    with w = ceil(sqrt(bins)), bin j = a*w + i has the sum over members of
+    e(-a*w*d/(p-1)) * e(-i*d/(p-1)). Each phase is reduced mod p-1 in int64
+    before it becomes a float (the field context refuses p whose (p-1)**2
+    overflows), so no rounding accumulates across bins."""
     n = ctx.p - 1
     bins = n // 2 + 1
     width = isqrt(bins - 1) + 1
     rows = -(-bins // width)
-    d = ctx.index(members)
     turn = -2j * np.pi / n
     left = np.exp(turn * (np.multiply.outer(np.arange(rows) * width % n, d) % n))
     right = np.exp(turn * (np.multiply.outer(d, np.arange(width)) % n))
@@ -75,8 +74,9 @@ def _gemm_spectrum(ctx: FieldContext, members: np.ndarray) -> np.ndarray:
     return mags.ravel()[:bins]
 
 
-def _fft_spectrum(ctx: FieldContext, members: np.ndarray) -> np.ndarray:
-    """The half spectrum from one complex FFT of length (p-1)/2, for p >= 3.
+def _fft_spectrum(ctx: FieldContext, d: np.ndarray) -> np.ndarray:
+    """The half spectrum of the members with dlogs d, from one complex FFT of
+    length (p-1)/2, for p >= 3.
 
     The indicator x is packed as z[m] = x[2m] + i x[2m+1] and Z = FFT(z).
     With Zc[k] = conj(Z[-k]), the even entries of x have the DFT (Z + Zc)/2 and
@@ -86,7 +86,7 @@ def _fft_spectrum(ctx: FieldContext, members: np.ndarray) -> np.ndarray:
     n = ctx.p - 1
     half = n // 2
     z = np.zeros(half, dtype=np.complex128)
-    z.view(np.float64)[ctx.index(members)] = 1.0
+    z.view(np.float64)[d] = 1.0
     np.fft.fft(z, out=z)
     mags = np.empty(half + 1)
     mags[half] = abs(z[0].real - z[0].imag)
@@ -98,9 +98,12 @@ def _fft_spectrum(ctx: FieldContext, members: np.ndarray) -> np.ndarray:
     return mags
 
 
-def _dlog_spectrum(ctx: FieldContext, members: np.ndarray) -> np.ndarray:
+def _dlog_spectrum(
+    ctx: FieldContext, members: np.ndarray, logs: np.ndarray | None = None
+) -> np.ndarray:
     """|DFT| of the dlog indicator of the units at j = 0..(p-1)//2: entry j is
     |sum of chi_j|, which is also |sum of chi_{p-1-j}| (the indicator is real).
+    `logs`, when given, are the members' dlogs, so they are not looked up again.
 
     A small set takes the phase GEMM, of |set| multiply-adds per bin whatever
     the factors of p-1; a dense one takes the packed FFT, whose cost per bin
@@ -113,10 +116,11 @@ def _dlog_spectrum(ctx: FieldContext, members: np.ndarray) -> np.ndarray:
         return last[1]
     _last_spectrum = None  # drop the old spectrum before the new one allocates
     bins = (ctx.p - 1) // 2 + 1
-    if _gemm_pays(members.size, bins):
-        mags = _gemm_spectrum(ctx, members)
+    d = ctx.index(members) if logs is None else logs
+    if _gemm_pays(d.size, bins):
+        mags = _gemm_spectrum(ctx, d)
     else:
-        mags = _fft_spectrum(ctx, members)
+        mags = _fft_spectrum(ctx, d)
     mags.setflags(write=False)
     _last_spectrum = (key, mags)
     return mags
@@ -142,15 +146,18 @@ def _unit_members(values: Values, p: int) -> np.ndarray:
     return arr
 
 
-def char_sum(ctx: FieldContext, j: int, values: Values) -> complex:
-    """Sum of chi_j over the given units."""
+def char_sum(
+    ctx: FieldContext, j: int, values: Values, logs: np.ndarray | None = None
+) -> complex:
+    """Sum of chi_j over the given units. `logs`, when given, are the discrete
+    logs of the units in increasing order, so they are not looked up again."""
     p = ctx.p
     if not 0 <= j <= max(p - 2, 0):
         raise DomainError(f"character index must lie in 0..{p - 2}")
     members = _unit_members(values, p)
     if members.size == 0:
         return 0j
-    k = (j * ctx.index(members)) % (p - 1)
+    k = (j * (ctx.index(members) if logs is None else logs)) % (p - 1)
     return complex(np.exp(2j * np.pi * k / (p - 1)).sum())
 
 
@@ -166,11 +173,22 @@ def _sum_of_squares(counts: np.ndarray) -> int:
 
 def product_energy(x_values: Values, y_values: Values, p: int) -> int:
     """Exact count of quadruples with x1*y1 == x2*y2 (mod p): the sum of
-    squared multiplicities of the product multiset."""
+    squared multiplicities of the product multiset.
+
+    The multiplicities come from sorting the |X||Y| products (np.unique,
+    about 24 traced bytes a product) while 8|X||Y| <= p, which keeps it
+    under a third of the p-entry int64 histogram that counts them otherwise
+    (about 9 bytes a residue)."""
     if not is_prime(p):
         raise DomainError("p must be prime")
+    if (p - 1) ** 2 >= 1 << 63:
+        raise ResourceError(f"p={p}: products of residues up to (p-1)**2 overflow int64")
     xm = _unit_members(x_values, p)
     ym = _unit_members(y_values, p)
+    if 8 * xm.size * ym.size <= p:
+        products = np.multiply.outer(xm, ym)
+        np.remainder(products, p, out=products)
+        return _sum_of_squares(np.unique(products, return_counts=True)[1])
     counts = np.zeros(p, dtype=np.int64)
     for v in xm.tolist():
         # x fixed: products x*y are pairwise distinct, so plain fancy add is exact
@@ -227,16 +245,17 @@ def burgess_profile(ctx: FieldContext, interval_len: int) -> CharProfile:
     The index is the smallest j in 1..(p-1)/2 whose spectrum magnitude lies
     within 1e-9 * len of the maximum (the conjugate p-1-j ties with j), and the
     ratio is that character's sum taken directly, so neither depends on how
-    the FFT rounds."""
+    the FFT rounds. The logs of {1..len} are looked up once for both."""
     p = ctx.p
     if not 1 <= interval_len < p:
         raise DomainError("interval length must satisfy 1 <= len < p")
     if p < 3:
         raise DomainError("no nonprincipal characters exist for p < 3")
     members = np.arange(1, interval_len + 1)
-    mags = _dlog_spectrum(ctx, members)[1:]
+    logs = ctx.index(members)
+    mags = _dlog_spectrum(ctx, members, logs)[1:]
     j = 1 + int(np.argmax(mags >= mags.max() - 1e-9 * interval_len))
-    return CharProfile(abs(char_sum(ctx, j, members)) / interval_len, j)
+    return CharProfile(abs(char_sum(ctx, j, members, logs)) / interval_len, j)
 
 
 @dataclass(frozen=True)

@@ -137,16 +137,31 @@ class ScanResult:
     failure_count: int
 
 
-def _sum_rows(p: int, left_mask: np.ndarray, right: np.ndarray, bs: np.ndarray):
+def _sum_rows(
+    p: int,
+    left_mask: np.ndarray,
+    right: np.ndarray,
+    bs: np.ndarray,
+    factors: Optional[Sequence[int]] = None,
+):
     """Yield (b, rows) over consecutive blocks of the b values bs, where bit c
     of rows[i] (bit c % 64 of word c // 64) says whether c lies in
     left + b[i] * right (mod p). Bit 0 and every bit at p or above are clear.
 
-    The row of b is the OR over r in right of the left mask shifted by b*r:
-    bit c of the mask shifted by s is 1_left(c - s mod p), the whole W-word
-    window of the periodic mask 1_left(i mod p) that starts at bit
+    The row of L + s is one W-word window of the periodic mask 1_left(i mod p):
+    bit c of it is 1_left(c - s mod p), the window that starts at bit
     t = -s mod p. Row k of `copies` holds that mask shifted down by k bits,
     so the window is copies[t % 64, t // 64 : t // 64 + W].
+
+    Row b is the OR over r in right of the window of L + b*r, built block by
+    block, unless `factors` lists lengths n_1, n_2, ... whose intervals
+    {1..n_k} have the product set right mod p. Then the rows are peeled one
+    factor at a time, from L + b*(R'*I) = the union over i in I of
+    L + (b*i)*R': rows_0[b] is the window of L + b, and rows_k[b] is the OR
+    of rows_{k-1}[b*i mod p] over i in 1..n_k. That is 1 + sum(n_k - 1)
+    gathers of all p-1 rows instead of |right| windows per row of bs, so it
+    runs when it is no more gathers than |right| and when all p-1 rows, and
+    the table of row indices b*i, each fit one block of _BLOCK_CELLS.
     """
     width = -(-p // 64)
     words = np.packbits(np.resize(left_mask, 128 * width), bitorder="little").view("<u8")
@@ -157,6 +172,26 @@ def _sum_rows(p: int, left_mask: np.ndarray, right: np.ndarray, bs: np.ndarray):
     starts = np.arange(p)
     offsets = (starts % 64) * copies.shape[1] + starts // 64
     tail = np.uint64((1 << (p % 64)) - 1)
+    if factors is not None:
+        gathers = 1 + sum(n - 1 for n in factors)
+        top = max(factors, default=1)
+        if gathers <= right.size and (p - 1) * max(width, top + 1) <= _BLOCK_CELLS:
+            # perm[i][b - 1] is the row index of b*i mod p, for b in 1..p-1
+            perm = np.multiply.outer(np.arange(top + 1), np.arange(1, p)) % p - 1
+            rows = windows[offsets[p - 1 - perm[1]]]
+            for n in factors:
+                peeled = rows
+                for i in range(2, n + 1):
+                    gathered = rows.take(perm[i], axis=0)
+                    gathered |= peeled
+                    peeled = gathered
+                rows = peeled
+            if bs.size < p - 1:
+                rows = rows[bs - 1]
+            rows[:, 0] &= ~np.uint64(1)
+            rows[:, -1] &= tail
+            yield bs, rows
+            return
     step = max(1, _BLOCK_CELLS // width)
     for i in range(0, bs.size, step):
         b = bs[i : i + step]
@@ -171,9 +206,17 @@ def _sum_rows(p: int, left_mask: np.ndarray, right: np.ndarray, bs: np.ndarray):
         yield b, rows
 
 
-def _grid_failures(p: int, prod_l: ResidueSet, prod_r: ResidueSet, bs: np.ndarray, cap: int):
+def _grid_failures(
+    p: int,
+    prod_l: ResidueSet,
+    prod_r: ResidueSet,
+    right_lengths: Sequence[int],
+    bs: np.ndarray,
+    cap: int,
+):
     """(failure_count, failures, open) over the rows b in bs of the (b, c)
-    grid, c in 1..p-1, with L = prod_l and R = prod_r: the first `cap`
+    grid, c in 1..p-1, with L = prod_l and R = prod_r, the product of the
+    intervals {1..n} for n in right_lengths: the first `cap`
     failures (1, b, c) in ascending (b, c) order, and the b values whose row
     has a failure. When |L| + |R| > p every L + b*R is all of Z_p
     (pigeonhole: c - b*R meets L) and no row is built."""
@@ -182,7 +225,7 @@ def _grid_failures(p: int, prod_l: ResidueSet, prod_r: ResidueSet, bs: np.ndarra
     open_rows = [bs[:0]]
     if prod_l.cardinality + prod_r.cardinality > p:
         return failure_count, failures, bs[:0]
-    for b, rows in _sum_rows(p, prod_l.mask, prod_r.members, bs):
+    for b, rows in _sum_rows(p, prod_l.mask, prod_r.members, bs, right_lengths):
         misses = (p - 1) - np.bitwise_count(rows).sum(axis=1, dtype=np.int64)
         failure_count += int(misses.sum())
         open_rows.append(b[misses > 0])
@@ -219,13 +262,18 @@ def abc_scan(
 
     With L and R the left and right products, the full grid decides c in
     L + b*R exactly, one block of rows b at a time: row b is packed as
-    ceil(p/64) uint64 words, the OR over r in R of the bitmask of L shifted
-    by b*r, and its solvable count is its number of set bits. A block holds
-    at most 2**16 words (unless it is a single row), so no p x p array is
-    built when p is large, and only rows with a failure are unpacked, until
-    20 failures are found. When |L| + |R| > p, every L + b*R is all of Z_p
-    (pigeonhole: c - b*R meets L) and no row is built. A sampled scan decides
-    its pairs in chunks of at most 2**16 (pair, r) cells.
+    ceil(p/64) uint64 words, and its solvable count is its number of set
+    bits. When all p-1 rows fit one block, they are peeled off R's seven
+    intervals: L + b*(R'*{1..n}) is the union of L + (b*i)*R' over i in
+    1..n, so each interval ORs n-1 permuted copies of the rows into them,
+    starting from the bitmask of L shifted by b. Otherwise (or when R has
+    fewer members than the peel has gathers) row b is the OR over r in R of
+    the bitmask of L shifted by b*r. A block holds at most 2**16 words
+    (unless it is a single row), so no p x p array is built when p is large,
+    and only rows with a failure are unpacked, until 20 failures are found.
+    When |L| + |R| > p, every L + b*R is all of Z_p (pigeonhole: c - b*R
+    meets L) and no row is built. A sampled scan decides its pairs in chunks
+    of at most 2**16 (pair, r) cells.
     """
     if not is_prime(p):
         raise DomainError("modulus must be prime")
@@ -238,7 +286,7 @@ def abc_scan(
     if sample is None:
         total = (p - 1) ** 2
         failure_count, failures, _ = _grid_failures(
-            p, prod_l, prod_r, np.arange(1, p), _FAILURE_SAMPLE_CAP
+            p, prod_l, prod_r, lengths[LEFT_ARITY:], np.arange(1, p), _FAILURE_SAMPLE_CAP
         )
     else:
         if sample < 1:
@@ -301,7 +349,9 @@ def threshold_scan(p: int, max_len: Optional[int] = None) -> ThresholdResult:
     minimal = None
     for n in range(1, max_len + 1):
         prod_l, prod_r = _scan_products(p, [n] * (LEFT_ARITY + RIGHT_ARITY))
-        failure_count, _, open_rows = _grid_failures(p, prod_l, prod_r, open_rows, 0)
+        failure_count, _, open_rows = _grid_failures(
+            p, prod_l, prod_r, [n] * RIGHT_ARITY, open_rows, 0
+        )
         solvable = total - failure_count
         curve.append(ScanRow(n, total, solvable, solvable / total))
         if failure_count == 0:

@@ -264,6 +264,26 @@ class TestIndexLookup:
         with pytest.raises(ArithmeticError, match="does not generate"):
             ctx.index(np.array([3]))
         assert "dlog" not in vars(ctx)
+        # [1, 3] takes the table branch, whose build raises the same error
+        # instead of returning the table's [3, -1]
+        with pytest.raises(ArithmeticError, match="does not generate"):
+            ctx.index(np.array([1, 3]))
+
+    @pytest.mark.parametrize("p, g", [(7, 2), (7, 6), (13, 3), (101, 4), (101, 100)])
+    def test_non_generator_refused_on_both_branches(self, p, g):
+        # g is a square or -1 mod p, so its powers miss a unit: the table
+        # must not hand out its -1 or repeated entries, and every lookup
+        # that needs a missed unit raises on the search branch as well
+        ctx = FieldContext(p, g)
+        with pytest.raises(ArithmeticError, match="does not generate"):
+            ctx.index(np.arange(1, p))  # the table branch, by the cost rule
+        with pytest.raises(ArithmeticError, match="does not generate"):
+            ctx.dlog
+        assert "dlog" not in vars(ctx)
+        missed = next(x for x in range(1, p) if x not in {pow(g, e, p) for e in range(p - 1)})
+        with pytest.raises(ArithmeticError, match="does not generate"):
+            ctx.index(np.array([missed]))  # the search branch
+        assert "dlog" not in vars(ctx)
 
     def test_context_builds_no_table(self):
         arith._field_context.cache_clear()

@@ -20,7 +20,7 @@ from prodcong.charsums import (
     product_energy_via_characters,
     product_growth_bound,
 )
-from prodcong.errors import DomainError
+from prodcong.errors import DomainError, ResourceError
 from prodcong.residues import ResidueSet, product_set
 from prodcong.rng import stream
 
@@ -32,6 +32,14 @@ def brute_energy(xs, ys, p):
         if x1 * y1 % p == x2 * y2 % p:
             count += 1
     return count
+
+
+def brute_energy_by_counts(xs, ys, p):
+    """The quadruple count from a dict of product multiplicities."""
+    counts = {}
+    for x, y in iproduct(xs, ys):
+        counts[x * y % p] = counts.get(x * y % p, 0) + 1
+    return sum(c * c for c in counts.values())
 
 
 @st.composite
@@ -156,6 +164,16 @@ class TestProductEnergy:
         with pytest.raises(DomainError):
             product_energy([0, 1], [1], 7)
 
+    def test_products_beyond_int64_refused(self):
+        # 3037000493 and 3037000507 are the primes on either side of
+        # (p-1)**2 = 2**63: [1, p-1] * [1, p-1] has J = 8 exactly, and an
+        # int64 product that wrapped would count it as 6
+        p = 3037000493
+        assert product_energy([1, p - 1], [1, p - 1], p) == 8
+        p = 3037000507
+        with pytest.raises(ResourceError, match="overflow"):
+            product_energy([1, p - 1], [1, p - 1], p)
+
     def test_composite_modulus_rejected(self):
         # the histogram kernel needs multiplication by units to permute residues
         with pytest.raises(DomainError):
@@ -165,6 +183,45 @@ class TestProductEnergy:
     def test_matches_bruteforce(self, case):
         p, xs, ys = case
         assert product_energy(xs, ys, p) == brute_energy(xs, ys, p)
+
+    @pytest.mark.parametrize(
+        "xs, ys",
+        [
+            ([2, 3, 4], [1, 4, 6, 100]),  # 12 products, 3*4 == 2*6: sorted
+            (range(1, 13), [1]),  # 12 distinct products: sorted
+            (range(1, 14), [1]),  # 13: the histogram
+            ([2, 3, 4, 6, 100], [1, 2, 3]),  # 15, with repeats: the histogram
+        ],
+    )
+    def test_both_sides_of_the_sort_rule(self, xs, ys):
+        # mod 101 the products are sorted while 8|X||Y| <= 101
+        assert product_energy(xs, ys, 101) == brute_energy(xs, ys, 101)
+
+    def test_sorted_products_build_no_histogram(self):
+        # the 47*47 products of a charsum row at p near 10**6 are sorted, not
+        # counted in an 8 MB table of p entries
+        tracemalloc.start()
+        try:
+            j = product_energy(range(1, 48), range(1, 48), 999983)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert j == brute_energy_by_counts(range(1, 48), range(1, 48), 999983)
+        assert peak < 2**20
+
+    def test_dense_products_keep_the_histogram(self):
+        # 316**2 products mod 100003 (nearly p of them) are counted in the
+        # p-entry histogram, about 9 bytes a residue; sorting them would
+        # trace about 24 bytes a product
+        p = 100003
+        tracemalloc.start()
+        try:
+            j = product_energy(range(1, 317), range(1, 317), p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert j == brute_energy_by_counts(range(1, 317), range(1, 317), p)
+        assert peak < 16 * p
 
     @given(energy_instance())
     def test_symmetry_and_diagonal_bound(self, case):
@@ -502,6 +559,26 @@ class TestBurgessProfile:
                 assert burgess_profile(ctx, length).max_ratio == pytest.approx(
                     expected, abs=1e-9
                 )
+
+    @pytest.mark.parametrize("p, length", [(101, 7), (999983, 47), (999983, 353)])
+    def test_logs_looked_up_once(self, monkeypatch, p, length):
+        # one lookup feeds the spectrum and the direct sum, and the ratio is
+        # bit for bit the direct char_sum's; 353 members take the packed FFT
+        ctx = build_field_context(p)
+        monkeypatch.setattr(charsums, "_last_spectrum", None)
+        lookups = []
+        index = FieldContext.index
+
+        def counting_index(self, units):
+            lookups.append(len(units))
+            return index(self, units)
+
+        monkeypatch.setattr(FieldContext, "index", counting_index)
+        profile = burgess_profile(ctx, length)
+        assert lookups == [length]
+        monkeypatch.undo()
+        members = range(1, length + 1)
+        assert profile.max_ratio == abs(char_sum(ctx, profile.argmax_j, members)) / length
 
     def test_length_must_be_below_p(self):
         ctx = build_field_context(7)

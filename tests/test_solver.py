@@ -302,21 +302,103 @@ class TestGridKernel:
         assert scan_tuple(1009, lengths) == full_grid_scan(1009, lengths)
 
     def test_rows_are_exact_bitmasks(self):
-        # bit c of row b is [c in L + b*R], with bit 0 and bits >= p clear
+        # bit c of row b is [c in L + b*R], with bit 0 and bits >= p clear, on
+        # the window loop (any R) and on the peel (R = {1,2} * {1,2,3} * {1},
+        # given as its factors), over every row and over a subset of rows
         for p in BOUNDARY_PRIMES[2:]:
             left = np.zeros(p, dtype=bool)
             left[[1, 2, 5, p - 1]] = True
-            right = np.array([1, 3, p - 2])
-            bs = np.arange(1, p)
-            rows = np.concatenate([r for _, r in prodcong.solver._sum_rows(p, left, right, bs)])
-            bits = np.unpackbits(rows.astype("<u8").view(np.uint8), bitorder="little")
-            bits = bits.reshape(p - 1, -1)
-            expected = np.zeros_like(bits)
-            for b in bs.tolist():
-                sums = (np.flatnonzero(left)[:, None] + b * right[None, :]) % p
-                expected[b - 1, sums.reshape(-1)] = 1
-            expected[:, 0] = 0
-            assert np.array_equal(bits, expected)
+            product = np.array([1, 2, 3, 4, 6])
+            for right, factors in (
+                (np.array([1, 3, p - 2]), None),
+                (product, (2, 3, 1)),
+                (product, None),
+            ):
+                for bs in (np.arange(1, p), np.arange(2, p, 3)):
+                    blocks = list(prodcong.solver._sum_rows(p, left, right, bs, factors))
+                    assert np.array_equal(np.concatenate([b for b, _ in blocks]), bs)
+                    rows = np.concatenate([r for _, r in blocks])
+                    bits = np.unpackbits(rows.astype("<u8").view(np.uint8), bitorder="little")
+                    bits = bits.reshape(bs.size, -1)
+                    expected = np.zeros_like(bits)
+                    for row, b in enumerate(bs.tolist()):
+                        sums = (np.flatnonzero(left)[:, None] + b * right[None, :]) % p
+                        expected[row, sums.reshape(-1)] = 1
+                    expected[:, 0] = 0
+                    assert np.array_equal(bits, expected)
+
+    @settings(deadline=None)
+    @given(st.data())
+    def test_peeled_rows_match_window_rows(self, data):
+        # mixed lengths per interval; the peel is taken whenever it has no
+        # more gathers than R has members, and must give the window loop's
+        # rows bit for bit, and the reference scan's counts
+        p, lengths = scan_case(data)
+        right = lengths[6:]
+        prod_l, prod_r = prodcong.solver._scan_products(p, lengths)
+        bs = np.arange(1, p)
+        args = (p, prod_l.mask, prod_r.members, bs)
+        window = list(prodcong.solver._sum_rows(*args))
+        peeled = list(prodcong.solver._sum_rows(*args, right))
+        if 1 + sum(n - 1 for n in right) <= prod_r.cardinality:
+            assert len(peeled) == 1
+        assert np.array_equal(
+            np.concatenate([r for _, r in window]), np.concatenate([r for _, r in peeled])
+        )
+        assert scan_tuple(p, lengths) == full_grid_scan(p, lengths)
+
+    @pytest.mark.parametrize("p", [2039, 2053])
+    def test_one_block_boundary(self, p):
+        # 2038 rows of 32 words fit 2**16 words and peel; 2052 rows of 33 do
+        # not, and take the window loop block by block
+        lengths = [1, 1, 2, 1, 1, 2, 1, 3, 1, 2, 1, 1, 2]
+        prod_l, prod_r = prodcong.solver._scan_products(p, lengths)
+        bs = np.arange(1, p)
+        args = (p, prod_l.mask, prod_r.members, bs)
+        window = list(prodcong.solver._sum_rows(*args))
+        peeled = list(prodcong.solver._sum_rows(*args, lengths[6:]))
+        assert len(window) == len(peeled) == (1 if p == 2039 else 2)
+        rows = np.concatenate([r for _, r in window])
+        assert np.array_equal(rows, np.concatenate([r for _, r in peeled]))
+        # factors of 1 describe R = {1}, which only the peel reads: its rows
+        # are L + b, while the window loop still builds L + b*R
+        probe = np.concatenate([r for _, r in prodcong.solver._sum_rows(*args, [1] * 7)])
+        assert np.array_equal(probe, rows) == (p == 2053)
+        assert scan_tuple(p, lengths) == full_grid_scan(p, lengths)
+
+    def test_peel_at_largest_one_block_prime_stays_small(self):
+        # the peel holds the rows, the rows being ORed and one gathered copy:
+        # three blocks of 2038 x 32 words (1.5 MiB), under 2 MiB
+        p = 2039
+        lengths = [5] * 13
+        tracemalloc.start()
+        try:
+            res = abc_scan(p, lengths)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (res.total, res.solvable, res.failures, res.failure_count) == full_grid_scan(
+            p, lengths
+        )
+        assert peak < 2 * 2**20
+
+    def test_long_interval_keeps_the_window_loop(self):
+        # R = {1..1000} needs 1000 gathers, no more than |R|, but the peel's
+        # table of row indices b*i, i <= 1000, would hold 1001 x 2038 int64
+        # (16 MB); the rows are built by the window loop instead, in one block
+        # of rows and its chunks of window offsets (2.1 MB measured)
+        p = 2039
+        lengths = [1] * 6 + [1000] + [1] * 6
+        tracemalloc.start()
+        try:
+            res = abc_scan(p, lengths)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (res.total, res.solvable, res.failures, res.failure_count) == full_grid_scan(
+            p, lengths
+        )
+        assert peak < 4 * 2**20
 
     def test_blocks_stay_within_cap(self):
         p = 10007
