@@ -106,6 +106,7 @@ def factorize(n: int) -> list[tuple[int, int]]:
     return sorted(out.items())
 
 
+@lru_cache(maxsize=512, typed=True)  # a numpy integer gets its own entry and result type
 def euler_phi(n: int) -> int:
     """Count of 1 <= x <= n with gcd(x, n) = 1."""
     if n < 1:
@@ -144,12 +145,6 @@ def primitive_root(p: int) -> int:
     raise ArithmeticError("no primitive root found")
 
 
-def _baby_steps(p: int, g: int) -> np.ndarray:
-    """The baby powers g**j mod p for j < b = ceil(sqrt(p-1)): every exponent
-    e < p-1 is i*b + j with j < b and i < ceil((p-1)/b)."""
-    return np.array([pow(g, j, p) for j in range(isqrt(p - 2) + 1)], dtype=np.int64)
-
-
 @dataclass(frozen=True)
 class FieldContext:
     """A prime field with a primitive root g, and the discrete logs of its units.
@@ -163,16 +158,27 @@ class FieldContext:
     p: int
     g: int
 
+    @cached_property
+    def _powers(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(giant, baby, order): giant[i] = g**(b*i) for i < ceil((p-1)/b) and
+        baby[j] = g**j for j < b = ceil(sqrt(p-1)), so every exponent e < p-1
+        is i*b + j; order sorts the last giant step's powers giant[-1]*baby."""
+        p, g = self.p, self.g
+        if g % p == 0:
+            raise ArithmeticError(f"g={g} does not generate every unit mod {p}")
+        b = isqrt(p - 2) + 1
+        giant = np.array([pow(g, b * i, p) for i in range(-(-(p - 1) // b))], dtype=np.int64)
+        baby = np.array([pow(g, j, p) for j in range(b)], dtype=np.int64)
+        return giant, baby, np.argsort(giant[-1] * baby % p)
+
     # The table lists g**e for e = i*b + j as (g**b)**i * g**j: one outer
     # product of the giant and baby power tables, taken mod p in place, holds
     # every power in exponent order, and dlog inverts that permutation.
     @cached_property
     def dlog(self) -> np.ndarray:
         p, g = self.p, self.g
-        small = _baby_steps(p, g)
-        b = small.size
-        giant = np.array([pow(g, b * i, p) for i in range(-(-(p - 1) // b))], dtype=np.int64)
-        powers = np.multiply.outer(giant, small)
+        giant, baby, _ = self._powers
+        powers = np.multiply.outer(giant, baby)
         np.remainder(powers, p, out=powers)
         dlog = np.full(p, -1, dtype=np.int64)
         dlog[powers.ravel()[: p - 1]] = np.arange(p - 1)
@@ -181,44 +187,34 @@ class FieldContext:
         dlog.setflags(write=False)
         return dlog
 
-    @cached_property
-    def _sorted_baby(self) -> tuple[np.ndarray, np.ndarray]:
-        """The baby powers in increasing order, and the exponent of each."""
-        small = _baby_steps(self.p, self.g)
-        order = np.argsort(small)
-        return small[order], order
-
     def index(self, units) -> np.ndarray:
         """int64 discrete logs of an array of units in 1..p-1.
 
         Reads the table if it is built, or if the lookup would do more work
-        than building it: |xs| * ceil((p-1)/b) cells, each a binary search of
-        bit_length(b) steps, against the table's p-1 entries. Otherwise x =
-        g**(i*b + j) is found as the first giant step i whose x * g**(-b*i)
-        is a baby power g**j; an earlier step would give an exponent j >= b,
-        so the first hit is the log."""
+        than building it: |xs| * r cells, r = ceil((p-1)/b), each a binary
+        search of bit_length(b) steps, against the table's p-1 entries.
+        Otherwise x = g**e is found from the first giant step i whose
+        x * g**(b*i) is a power g**(b*(r-1) + j) of the last one: then
+        e = b*(r-1-i) + j (mod p-1)."""
         p, n = self.p, self.p - 1
         xs = np.asarray(units, dtype=np.int64)
         if xs.size and (xs.min() < 1 or xs.max() > n):
             raise DomainError(f"only the units 1..{n} have a discrete log mod {p}")
-        b = isqrt(p - 2) + 1  # the baby step count of _baby_steps
-        rows = -(-n // b)
+        giant, baby, order = self._powers
+        b, rows = baby.size, giant.size
         if "dlog" in vars(self) or xs.size * rows * b.bit_length() >= n:
             return self.dlog[xs]
-        baby, exps = self._sorted_baby
-        step, giant = pow(self.g, -b, p), [1]
-        for _ in range(rows - 1):
-            giant.append(giant[-1] * step % p)
-        cells = np.multiply.outer(xs, np.array(giant, dtype=np.int64))
+        last = (giant[-1] * baby % p)[order]
+        cells = np.multiply.outer(xs, giant)
         np.remainder(cells, p, out=cells)
-        at = np.searchsorted(baby, cells)
+        at = np.searchsorted(last, cells)
         np.minimum(at, b - 1, out=at)
-        hit = baby[at] == cells
+        hit = last[at] == cells
         i = hit.argmax(axis=1)
         rows_of = np.arange(xs.size)
         if not hit[rows_of, i].all():
             raise ArithmeticError(f"g={self.g} does not generate every unit mod {p}")
-        return i * b + exps[at[rows_of, i]]
+        return ((rows - 1 - i) * b + order[at[rows_of, i]]) % n
 
 
 # A context is kept per prime for the table that _dlog_product_mask reads

@@ -128,18 +128,14 @@ def _dlog_spectrum(
 
 def _unit_members(values: Values, p: int) -> np.ndarray:
     """Normalize a set-like argument to a sorted array of units in 1..p-1."""
+    if isinstance(values, Interval):
+        values = values.to_set()
     if isinstance(values, ResidueSet):
         if values.modulus != p:
             raise DomainError("modulus mismatch")
         if values.contains_zero:
             raise DomainError("0 is not a unit")
         return values.members
-    if isinstance(values, Interval):
-        if values.modulus != p:
-            raise DomainError("modulus mismatch")
-        if values.contains_zero:
-            raise DomainError("0 is not a unit")
-        return np.sort(values.members())
     arr = np.array(sorted({int(v) for v in values}), dtype=np.int64)
     if arr.size and (arr[0] < 1 or arr[-1] >= p):
         raise DomainError("members must lie in 1..p-1")

@@ -13,29 +13,10 @@ import io
 import json
 import sys
 from dataclasses import dataclass
-from fractions import Fraction
 from pathlib import Path
 from typing import Any, Optional
 
-import numpy as np
-
 SCHEMA_VERSION = 1
-
-
-def _native(value: Any) -> Any:
-    if isinstance(value, (np.integer,)):
-        return int(value)
-    if isinstance(value, (np.floating,)):
-        return float(value)
-    if isinstance(value, (np.bool_,)):
-        return bool(value)
-    if isinstance(value, Fraction):
-        return float(value)
-    if isinstance(value, (list, tuple)):
-        return [_native(v) for v in value]
-    if isinstance(value, dict):
-        return {k: _native(v) for k, v in value.items()}
-    return value
 
 
 def _cell(value: Any) -> str:
@@ -50,27 +31,25 @@ def _cell(value: Any) -> str:
 
 @dataclass
 class Report:
-    """One command's report; columns default to the keys of the first row."""
+    """One command's report; columns default to the keys of the first row.
+    Values are written as given, so they must be plain Python values: None,
+    bool, int, float, str, and lists and dicts of them."""
 
     command: str
     config: dict
     rows: list[dict]
     summary: dict
     columns: Optional[list[str]] = None
-    schema_version: int = SCHEMA_VERSION
 
     def __post_init__(self):
         if self.columns is None:
             if not self.rows:
                 raise ValueError("a report without rows needs explicit columns")
             self.columns = list(self.rows[0])
-        self.config = _native(self.config)
-        self.rows = [_native(r) for r in self.rows]
-        self.summary = _native(self.summary)
 
     def to_json(self) -> str:
         payload = {
-            "schema_version": self.schema_version,
+            "schema_version": SCHEMA_VERSION,
             "command": self.command,
             "config": self.config,
             "columns": self.columns,

@@ -196,11 +196,6 @@ def _check_same_modulus(s: ResidueSet, t: ResidueSet) -> None:
         raise DomainError("modulus mismatch")
 
 
-@lru_cache(maxsize=512)
-def _unit_count(m: int) -> int:
-    return euler_phi(m)
-
-
 def _pairwise_mask(
     m: int, left: np.ndarray, right: np.ndarray, op, *, dlog_fft: bool = True
 ) -> np.ndarray:
@@ -215,7 +210,7 @@ def _pairwise_mask(
     if op is np.add:
         if left.size + right.size > m:
             return np.ones(m, dtype=bool)
-    elif left.size + right.size > (phi := _unit_count(m)):
+    elif left.size + right.size > (phi := euler_phi(m)):
         units = units_mask(m)
         left_units, right_units = units[left], units[right]
         if np.count_nonzero(left_units) + np.count_nonzero(right_units) > phi:

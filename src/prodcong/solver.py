@@ -142,26 +142,26 @@ def _sum_rows(
     left_mask: np.ndarray,
     right: np.ndarray,
     bs: np.ndarray,
-    factors: Optional[Sequence[int]] = None,
+    factors: Sequence[int],
 ):
     """Yield (b, rows) over consecutive blocks of the b values bs, where bit c
     of rows[i] (bit c % 64 of word c // 64) says whether c lies in
-    left + b[i] * right (mod p). Bit 0 and every bit at p or above are clear.
+    left + b[i] * right (mod p), and right is the product set of the
+    intervals {1..n} for n in factors. Bit 0 and every bit at p or above are
+    clear.
 
     The row of L + s is one W-word window of the periodic mask 1_left(i mod p):
     bit c of it is 1_left(c - s mod p), the window that starts at bit
     t = -s mod p. Row k of `copies` holds that mask shifted down by k bits,
     so the window is copies[t % 64, t // 64 : t // 64 + W].
 
-    Row b is the OR over r in right of the window of L + b*r, built block by
-    block, unless `factors` lists lengths n_1, n_2, ... whose intervals
-    {1..n_k} have the product set right mod p. Then the rows are peeled one
-    factor at a time, from L + b*(R'*I) = the union over i in I of
+    When all p-1 rows, and the table of row indices b*i for i up to the
+    longest factor, each fit one block of _BLOCK_CELLS words, the rows are
+    peeled one factor at a time, from L + b*(R'*I) = the union over i in I of
     L + (b*i)*R': rows_0[b] is the window of L + b, and rows_k[b] is the OR
-    of rows_{k-1}[b*i mod p] over i in 1..n_k. That is 1 + sum(n_k - 1)
-    gathers of all p-1 rows instead of |right| windows per row of bs, so it
-    runs when it is no more gathers than |right| and when all p-1 rows, and
-    the table of row indices b*i, each fit one block of _BLOCK_CELLS.
+    of rows_{k-1}[b*i mod p] over i in 1..n_k, 1 + sum(n_k - 1) gathers of
+    all p-1 rows. Otherwise row b is the OR over r in right of the window of
+    L + b*r, built block by block.
     """
     width = -(-p // 64)
     words = np.packbits(np.resize(left_mask, 128 * width), bitorder="little").view("<u8")
@@ -172,26 +172,24 @@ def _sum_rows(
     starts = np.arange(p)
     offsets = (starts % 64) * copies.shape[1] + starts // 64
     tail = np.uint64((1 << (p % 64)) - 1)
-    if factors is not None:
-        gathers = 1 + sum(n - 1 for n in factors)
-        top = max(factors, default=1)
-        if gathers <= right.size and (p - 1) * max(width, top + 1) <= _BLOCK_CELLS:
-            # perm[i][b - 1] is the row index of b*i mod p, for b in 1..p-1
-            perm = np.multiply.outer(np.arange(top + 1), np.arange(1, p)) % p - 1
-            rows = windows[offsets[p - 1 - perm[1]]]
-            for n in factors:
-                peeled = rows
-                for i in range(2, n + 1):
-                    gathered = rows.take(perm[i], axis=0)
-                    gathered |= peeled
-                    peeled = gathered
-                rows = peeled
-            if bs.size < p - 1:
-                rows = rows[bs - 1]
-            rows[:, 0] &= ~np.uint64(1)
-            rows[:, -1] &= tail
-            yield bs, rows
-            return
+    top = max(factors, default=1)
+    if (p - 1) * max(width, top + 1) <= _BLOCK_CELLS:
+        # perm[i][b - 1] is the row index of b*i mod p, for b in 1..p-1
+        perm = np.multiply.outer(np.arange(top + 1), np.arange(1, p)) % p - 1
+        rows = windows[offsets[p - 1 - perm[1]]]
+        for n in factors:
+            peeled = rows
+            for i in range(2, n + 1):
+                gathered = rows.take(perm[i], axis=0)
+                gathered |= peeled
+                peeled = gathered
+            rows = peeled
+        if bs.size < p - 1:
+            rows = rows[bs - 1]
+        rows[:, 0] &= ~np.uint64(1)
+        rows[:, -1] &= tail
+        yield bs, rows
+        return
     step = max(1, _BLOCK_CELLS // width)
     for i in range(0, bs.size, step):
         b = bs[i : i + step]
@@ -261,19 +259,14 @@ def abc_scan(
     (b, c) order, capped at 20 with the full count alongside.
 
     With L and R the left and right products, the full grid decides c in
-    L + b*R exactly, one block of rows b at a time: row b is packed as
-    ceil(p/64) uint64 words, and its solvable count is its number of set
-    bits. When all p-1 rows fit one block, they are peeled off R's seven
-    intervals: L + b*(R'*{1..n}) is the union of L + (b*i)*R' over i in
-    1..n, so each interval ORs n-1 permuted copies of the rows into them,
-    starting from the bitmask of L shifted by b. Otherwise (or when R has
-    fewer members than the peel has gathers) row b is the OR over r in R of
-    the bitmask of L shifted by b*r. A block holds at most 2**16 words
-    (unless it is a single row), so no p x p array is built when p is large,
-    and only rows with a failure are unpacked, until 20 failures are found.
-    When |L| + |R| > p, every L + b*R is all of Z_p (pigeonhole: c - b*R
-    meets L) and no row is built. A sampled scan decides its pairs in chunks
-    of at most 2**16 (pair, r) cells.
+    L + b*R exactly, one block of rows b at a time (`_sum_rows`): row b is
+    packed as ceil(p/64) uint64 words and its solvable count is its number of
+    set bits. A block holds at most 2**16 words (unless it is a single row),
+    so no p x p array is built when p is large, and only rows with a failure
+    are unpacked, until 20 failures are found. When |L| + |R| > p, every
+    L + b*R is all of Z_p (pigeonhole: c - b*R meets L) and no row is built.
+    A sampled scan decides its pairs in chunks of at most 2**16 (pair, r)
+    cells.
     """
     if not is_prime(p):
         raise DomainError("modulus must be prime")

@@ -285,6 +285,17 @@ class TestIndexLookup:
             ctx.index(np.array([missed]))  # the search branch
         assert "dlog" not in vars(ctx)
 
+    @pytest.mark.parametrize("p, g", [(2, 0), (101, 0), (101, 202)])
+    def test_zero_generator_refused_on_both_branches(self, p, g):
+        # g = 0 mod p is no generator and has no inverse: one or two units
+        # mod 101 take the search branch and all of them the table, and each
+        # raises a non-generator's error, as does the table itself
+        for units in ([1], [p - 1], range(1, p)):
+            with pytest.raises(ArithmeticError, match="does not generate"):
+                FieldContext(p, g).index(np.array(units))
+        with pytest.raises(ArithmeticError, match="does not generate"):
+            FieldContext(p, g).dlog
+
     def test_context_builds_no_table(self):
         arith._field_context.cache_clear()
         ctx = build_field_context(999983)

@@ -21,7 +21,7 @@ from prodcong.charsums import (
     product_growth_bound,
 )
 from prodcong.errors import DomainError, ResourceError
-from prodcong.residues import ResidueSet, product_set
+from prodcong.residues import Interval, ResidueSet, product_set
 from prodcong.rng import stream
 
 
@@ -119,6 +119,18 @@ class TestCharSum:
         ctx = build_field_context(7)
         with pytest.raises(DomainError):
             char_sum(ctx, 6, [1])
+
+    def test_interval_is_its_set(self):
+        # an interval, a wrapping one too, sums over its members; one of
+        # another modulus or one that holds 0 is refused as a set would be
+        ctx = build_field_context(11)
+        for offset, length in ((0, 4), (8, 2), (5, 5)):
+            members = [(offset + i) % 11 for i in range(1, length + 1)]
+            for j in (0, 1, 3):
+                assert char_sum(ctx, j, Interval(offset, length, 11)) == char_sum(ctx, j, members)
+        for bad in (Interval(0, 4, 13), Interval(8, 3, 11)):
+            with pytest.raises(DomainError):
+                char_sum(ctx, 1, bad)
 
     @pytest.mark.parametrize("p", [3, 5, 7, 31, 101, 499])
     def test_character_orthogonality_relation(self, p):

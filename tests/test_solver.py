@@ -270,6 +270,19 @@ def scan_tuple(p, lengths):
     return res.total, res.solvable, res.failures, res.failure_count
 
 
+def grid_blocks(p, *args, window=False):
+    """The blocks of `_sum_rows(p, *args)`; with `window`, from the window
+    loop, as a block one word short of all p-1 rows leaves the peel no room."""
+    with pytest.MonkeyPatch.context() as mp:
+        if window:
+            mp.setattr(prodcong.solver, "_BLOCK_CELLS", (p - 1) * -(-p // 64) - 1)
+        return list(prodcong.solver._sum_rows(p, *args))
+
+
+def stacked(blocks):
+    return np.concatenate([rows for _, rows in blocks])
+
+
 def sample_tuple(p, lengths, sample, seed):
     res = abc_scan(p, lengths, sample=sample, seed=seed)
     return res.total, res.solvable, res.failures, res.failure_count
@@ -303,21 +316,22 @@ class TestGridKernel:
 
     def test_rows_are_exact_bitmasks(self):
         # bit c of row b is [c in L + b*R], with bit 0 and bits >= p clear, on
-        # the window loop (any R) and on the peel (R = {1,2} * {1,2,3} * {1},
-        # given as its factors), over every row and over a subset of rows
+        # the window loop (any R: it reads R, not the factors) and on the peel
+        # (R = {1,2} * {1,2,3} * {1}, given as its factors), over every row
+        # and over a subset of rows
         for p in BOUNDARY_PRIMES[2:]:
             left = np.zeros(p, dtype=bool)
             left[[1, 2, 5, p - 1]] = True
             product = np.array([1, 2, 3, 4, 6])
-            for right, factors in (
-                (np.array([1, 3, p - 2]), None),
-                (product, (2, 3, 1)),
-                (product, None),
+            for right, factors, window in (
+                (np.array([1, 3, p - 2]), (1,), True),
+                (product, (2, 3, 1), False),
+                (product, (2, 3, 1), True),
             ):
                 for bs in (np.arange(1, p), np.arange(2, p, 3)):
-                    blocks = list(prodcong.solver._sum_rows(p, left, right, bs, factors))
+                    blocks = grid_blocks(p, left, right, bs, factors, window=window)
                     assert np.array_equal(np.concatenate([b for b, _ in blocks]), bs)
-                    rows = np.concatenate([r for _, r in blocks])
+                    rows = stacked(blocks)
                     bits = np.unpackbits(rows.astype("<u8").view(np.uint8), bitorder="little")
                     bits = bits.reshape(bs.size, -1)
                     expected = np.zeros_like(bits)
@@ -330,21 +344,30 @@ class TestGridKernel:
     @settings(deadline=None)
     @given(st.data())
     def test_peeled_rows_match_window_rows(self, data):
-        # mixed lengths per interval; the peel is taken whenever it has no
-        # more gathers than R has members, and must give the window loop's
-        # rows bit for bit, and the reference scan's counts
+        # mixed lengths per interval; every prime drawn fits one block, so the
+        # peel runs, and must give the window loop's rows bit for bit, and
+        # the reference scan's counts
         p, lengths = scan_case(data)
-        right = lengths[6:]
         prod_l, prod_r = prodcong.solver._scan_products(p, lengths)
-        bs = np.arange(1, p)
-        args = (p, prod_l.mask, prod_r.members, bs)
-        window = list(prodcong.solver._sum_rows(*args))
-        peeled = list(prodcong.solver._sum_rows(*args, right))
-        if 1 + sum(n - 1 for n in right) <= prod_r.cardinality:
-            assert len(peeled) == 1
-        assert np.array_equal(
-            np.concatenate([r for _, r in window]), np.concatenate([r for _, r in peeled])
-        )
+        args = (prod_l.mask, prod_r.members, np.arange(1, p), lengths[6:])
+        peeled = grid_blocks(p, *args)
+        assert len(peeled) == 1
+        assert np.array_equal(stacked(grid_blocks(p, *args, window=True)), stacked(peeled))
+        assert scan_tuple(p, lengths) == full_grid_scan(p, lengths)
+
+    def test_peel_runs_when_gathers_exceed_right(self):
+        # 2**5 = 1 mod 31, so R = {1, 2}**7 is {1, 2, 4, 8, 16}: 5 members
+        # against the peel's 1 + 7 gathers. The grid still peels and matches
+        # the window loop and the reference scan.
+        p, lengths = 31, [2] * 13
+        prod_l, prod_r = prodcong.solver._scan_products(p, lengths)
+        assert prod_r.members.tolist() == [1, 2, 4, 8, 16]
+        bs, factors = np.arange(1, p), lengths[6:]
+        rows = stacked(grid_blocks(p, prod_l.mask, prod_r.members, bs, factors, window=True))
+        # the peel reads the factors, not R: handed R = {1}, it still builds
+        # L + b*R, where the window loop would build L + b
+        probe = stacked(grid_blocks(p, prod_l.mask, np.array([1]), bs, factors))
+        assert np.array_equal(probe, rows)
         assert scan_tuple(p, lengths) == full_grid_scan(p, lengths)
 
     @pytest.mark.parametrize("p", [2039, 2053])
@@ -353,16 +376,14 @@ class TestGridKernel:
         # not, and take the window loop block by block
         lengths = [1, 1, 2, 1, 1, 2, 1, 3, 1, 2, 1, 1, 2]
         prod_l, prod_r = prodcong.solver._scan_products(p, lengths)
-        bs = np.arange(1, p)
-        args = (p, prod_l.mask, prod_r.members, bs)
-        window = list(prodcong.solver._sum_rows(*args))
-        peeled = list(prodcong.solver._sum_rows(*args, lengths[6:]))
-        assert len(window) == len(peeled) == (1 if p == 2039 else 2)
-        rows = np.concatenate([r for _, r in window])
-        assert np.array_equal(rows, np.concatenate([r for _, r in peeled]))
+        args = (prod_l.mask, prod_r.members, np.arange(1, p))
+        blocks = grid_blocks(p, *args, lengths[6:])
+        assert len(blocks) == (1 if p == 2039 else 2)
+        rows = stacked(blocks)
+        assert np.array_equal(stacked(grid_blocks(p, *args, lengths[6:], window=True)), rows)
         # factors of 1 describe R = {1}, which only the peel reads: its rows
         # are L + b, while the window loop still builds L + b*R
-        probe = np.concatenate([r for _, r in prodcong.solver._sum_rows(*args, [1] * 7)])
+        probe = stacked(grid_blocks(p, *args, [1] * 7))
         assert np.array_equal(probe, rows) == (p == 2053)
         assert scan_tuple(p, lengths) == full_grid_scan(p, lengths)
 
@@ -383,10 +404,10 @@ class TestGridKernel:
         assert peak < 2 * 2**20
 
     def test_long_interval_keeps_the_window_loop(self):
-        # R = {1..1000} needs 1000 gathers, no more than |R|, but the peel's
-        # table of row indices b*i, i <= 1000, would hold 1001 x 2038 int64
-        # (16 MB); the rows are built by the window loop instead, in one block
-        # of rows and its chunks of window offsets (2.1 MB measured)
+        # R = {1..1000}: the peel's table of row indices b*i, i <= 1000,
+        # would hold 1001 x 2038 int64 (16 MB), more than one block; the rows
+        # are built by the window loop instead, in one block of rows and its
+        # chunks of window offsets (2.1 MB measured)
         p = 2039
         lengths = [1] * 6 + [1000] + [1] * 6
         tracemalloc.start()
@@ -404,7 +425,7 @@ class TestGridKernel:
         p = 10007
         left = np.zeros(p, dtype=bool)
         left[1] = True
-        blocks = [rows.shape for _, rows in prodcong.solver._sum_rows(p, left, np.array([1]), np.arange(1, p))]
+        blocks = [rows.shape for _, rows in prodcong.solver._sum_rows(p, left, np.array([1]), np.arange(1, p), [1])]
         assert sum(rows for rows, _ in blocks) == p - 1
         assert max(rows * width for rows, width in blocks) <= prodcong.solver._BLOCK_CELLS
 
