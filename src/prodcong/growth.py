@@ -128,7 +128,7 @@ def _step(m: int, frontier, gens: np.ndarray, seen: bytearray, levels: memoryvie
         return new
     mask = np.frombuffer(seen, dtype=bool)
     frontier = np.asarray(frontier, dtype=np.int64)
-    new = np.flatnonzero(_pairwise_mask(m, frontier, gens, np.multiply, dlog_fft=False) > mask)
+    new = np.flatnonzero(_pairwise_mask(m, frontier, gens, dlog_fft=False) > mask)
     mask[new] = True
     np.frombuffer(levels, dtype=np.int32)[new] = n
     return new

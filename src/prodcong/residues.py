@@ -11,7 +11,6 @@ from __future__ import annotations
 from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import lru_cache
-from math import prod
 from operator import index
 from typing import Callable, Iterable, NamedTuple, Optional
 
@@ -42,11 +41,6 @@ class Interval:
         if not 1 <= self.length <= self.modulus:
             raise DomainError("interval length must satisfy 1 <= N <= m")
         object.__setattr__(self, "offset", self.offset % self.modulus)
-
-    def members(self) -> np.ndarray:
-        """Member residues in progression order (may wrap past 0)."""
-        start = (self.offset + 1) % self.modulus
-        return (start + np.arange(self.length, dtype=np.int64)) % self.modulus
 
     def __len__(self) -> int:
         return self.length
@@ -149,16 +143,6 @@ class ResidueSet:
     def witness(self) -> Optional[Mapping[int, tuple[int, ...]]]:
         return self._witness
 
-    def verify(self) -> None:
-        """Check every witness multiplies to its member (DomainError if not)."""
-        if self._witness is None:
-            raise DomainError("set carries no witnesses")
-        if set(self._witness) != set(self.members.tolist()):
-            raise DomainError("witness keys do not match the member set")
-        for r, factors in self._witness.items():
-            if prod(factors) % self._modulus != r:
-                raise DomainError(f"witness for {r} multiplies to {prod(factors) % self._modulus}")
-
     def __len__(self) -> int:
         return self.cardinality
 
@@ -197,32 +181,28 @@ def _check_same_modulus(s: ResidueSet, t: ResidueSet) -> None:
 
 
 def _pairwise_mask(
-    m: int, left: np.ndarray, right: np.ndarray, op, *, dlog_fft: bool = True
+    m: int, left: np.ndarray, right: np.ndarray, *, dlog_fft: bool = True
 ) -> np.ndarray:
-    # Pigeonhole settles the large cases without a table. If |S| + |T| > m,
-    # r - T meets S for every r, so S + T = Z_m. If the units of S and T
-    # number more than phi(m) together, r * T_u^-1 meets S_u for every unit r,
-    # so S_u T_u is every unit; the products with a non-unit operand are
-    # non-units and are still computed. The size tests come first, so small
-    # operands pay nothing. A product mod a prime that pigeonhole leaves open
-    # may be one convolution (_dlog_product_mask) instead of the table;
+    # Pigeonhole settles the large cases without a table. If the units of S
+    # and T number more than phi(m) together, r * T_u^-1 meets S_u for every
+    # unit r, so S_u T_u is every unit; the products with a non-unit operand
+    # are non-units and are still computed. The size test comes first, so
+    # small operands pay nothing. A product mod a prime that pigeonhole leaves
+    # open may be one convolution (_dlog_product_mask) instead of the table;
     # dlog_fft=False keeps it on the table.
-    if op is np.add:
-        if left.size + right.size > m:
-            return np.ones(m, dtype=bool)
-    elif left.size + right.size > (phi := euler_phi(m)):
+    if left.size + right.size > (phi := euler_phi(m)):
         units = units_mask(m)
         left_units, right_units = units[left], units[right]
         if np.count_nonzero(left_units) + np.count_nonzero(right_units) > phi:
             out = units.copy()
-            out |= _table_mask(m, left[~left_units], right, op)
-            out |= _table_mask(m, left[left_units], right[~right_units], op)
+            out |= _table_mask(m, left[~left_units], right, np.multiply)
+            out |= _table_mask(m, left[left_units], right[~right_units], np.multiply)
             return out
-    if op is np.multiply and dlog_fft:
+    if dlog_fft:
         out = _dlog_product_mask(m, left, right)
         if out is not None:
             return out
-    return _table_mask(m, left, right, op)
+    return _table_mask(m, left, right, np.multiply)
 
 
 def _fft_pays(cells: int, size: int) -> bool:
@@ -317,13 +297,17 @@ def _first_pair(m: int, left: np.ndarray, right: np.ndarray, r: int) -> tuple[in
 def product_set(s: ResidueSet, t: ResidueSet) -> ResidueSet:
     """Exact pairwise-product set {st : s in S, t in T} mod m."""
     _check_same_modulus(s, t)
-    return ResidueSet(s.modulus, _pairwise_mask(s.modulus, s.members, t.members, np.multiply))
+    return ResidueSet(s.modulus, _pairwise_mask(s.modulus, s.members, t.members))
 
 
 def sum_set(s: ResidueSet, t: ResidueSet) -> ResidueSet:
     """Exact pairwise-sum set {s + t} mod m."""
     _check_same_modulus(s, t)
-    return ResidueSet(s.modulus, _pairwise_mask(s.modulus, s.members, t.members, np.add))
+    m = s.modulus
+    # Pigeonhole: if |S| + |T| > m, r - T meets S for every r, so S + T = Z_m.
+    if s.cardinality + t.cardinality > m:
+        return ResidueSet(m, np.ones(m, dtype=bool))
+    return ResidueSet(m, _table_mask(m, s.members, t.members, np.add))
 
 
 class _WitnessView(Mapping):

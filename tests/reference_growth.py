@@ -39,7 +39,7 @@ def table_chain(m, gens, n_max):
     n = 1
     n_stab: Optional[int] = 1 if gens.size == phi else None
     while n_stab is None and n < n_max:
-        step = _pairwise_mask(m, frontier, gens, np.multiply, dlog_fft=False)
+        step = _pairwise_mask(m, frontier, gens, dlog_fft=False)
         frontier = np.flatnonzero(step > mask)
         mask[frontier] = True
         level[frontier] = n + 1

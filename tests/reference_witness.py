@@ -4,11 +4,27 @@ These are the direct tuple-dict versions of the witnessed interval product and
 of the witnessed growth chain: every member's witness is stored as a tuple, and
 each step walks all pairs. The library rebuilds the same witnesses on demand
 from the fold operands or from parent pointers; the tests check both agree.
+`interval_members` lists an interval by its definition, and `check_witnesses`
+multiplies every witness of a set back out.
 """
 
-from math import gcd
+from math import gcd, prod
 
 import numpy as np
+
+
+def interval_members(iv):
+    """The interval's residues in progression order (may wrap past 0)."""
+    start = (iv.offset + 1) % iv.modulus
+    return (start + np.arange(iv.length, dtype=np.int64)) % iv.modulus
+
+
+def check_witnesses(s):
+    """Assert that s carries one witness per member, each multiplying to it."""
+    assert s.witness is not None, "set carries no witnesses"
+    assert set(s.witness) == set(s.members.tolist()), "witness keys do not match the members"
+    for r, factors in s.witness.items():
+        assert prod(factors) % s.modulus == r, f"witness for {r} multiplies to {prod(factors) % s.modulus}"
 
 
 def combine_witnessed(m, u, v):
@@ -38,9 +54,9 @@ def interval_product_witnesses(intervals):
     ]
     half_dicts = []
     for order in orders:
-        acc = {int(x): (int(x),) for x in ivs[order[0]].members()}
+        acc = {int(x): (int(x),) for x in interval_members(ivs[order[0]])}
         for i in order[1:]:
-            nxt = {int(x): (int(x),) for x in ivs[i].members()}
+            nxt = {int(x): (int(x),) for x in interval_members(ivs[i])}
             acc = combine_witnessed(m, acc, nxt)
         half_dicts.append(acc)
     joined = half_dicts[0] if len(half_dicts) == 1 else combine_witnessed(m, *half_dicts)

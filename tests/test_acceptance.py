@@ -29,6 +29,7 @@ from prodcong.residues import Interval, ResidueSet, coverage_check, product_set
 from prodcong.rng import stream
 from prodcong.smooth import build_smooth_table, greedy_factor
 from prodcong.solver import SolveInstance, abc_scan, solve, verify_witness
+from reference_witness import interval_members
 
 
 def report(line: str) -> None:
@@ -118,8 +119,8 @@ def test_c03_coverage_harness():
 
 def naive_solve(inst):
     p = inst.p
-    left_members = [iv.members().tolist() for iv in inst.left]
-    right_members = [iv.members().tolist() for iv in inst.right]
+    left_members = [interval_members(iv).tolist() for iv in inst.left]
+    right_members = [interval_members(iv).tolist() for iv in inst.right]
     for lt in iproduct(*left_members):
         lhs = inst.a * prod(lt) % p
         for rt in iproduct(*right_members):

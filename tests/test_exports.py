@@ -1,8 +1,8 @@
 """The package's public names, pinned: adding or removing an export means
 updating this list on purpose. Source checks ride along: no module keeps an
 import it does not use, every export and every public method or property of an
-exported class has a caller inside the package, and no exemption outlives its
-reason."""
+exported class has a caller inside the package, every name two exported classes
+share is listed, and no exemption outlives its reason."""
 
 import ast
 import types
@@ -32,6 +32,21 @@ NO_CALLER = {
     # growth.power_residue_index.self_s metrics in ROADMAP item 1's benchmark change
     "is_subgroup",
     "power_residue_index",
+}
+
+# Public methods and properties of exported classes whose name another exported
+# class also defines, as a method, a property or a field. Callers are counted by
+# name, so a read of either side keeps both alive; each entry names the package
+# reads that do.
+SHARED = {
+    "contains_zero": "Interval: SolveInstance's interval check; "
+    "ResidueSet: coverage_check and charsums' _unit_members",
+    "modulus": "ResidueSet: product_set, sum_set and the growth checks; Interval's field: "
+    "iterated_interval_product and SolveInstance's check; the fields of GeneratorSet, "
+    "GrowthReport and Representation: power_set_sequence, GrowthReport.represent and "
+    "Representation.verify",
+    "witness": "ResidueSet: solve's witness join and GrowthReport.represent; "
+    "SolveReport's field: the solve row of the CLI",
 }
 
 MODULES = sorted(
@@ -97,17 +112,40 @@ def _reads(tree):
     )
 
 
-def _public_methods():
-    """(class, def node) for each public method or property of an exported class."""
+def _exported_classes():
     exported = set(_exports())
     return [
-        (stmt.name, node)
+        stmt
         for path in MODULES
         for stmt in _parse(path).body
         if isinstance(stmt, ast.ClassDef) and stmt.name in exported
-        for node in stmt.body
+    ]
+
+
+def _public_methods():
+    """(class, def node) for each public method or property of an exported class."""
+    return [
+        (cls.name, node)
+        for cls in _exported_classes()
+        for node in cls.body
         if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
     ]
+
+
+def _shared_names():
+    """The public method and property names that more than one exported class
+    defines, as a method, a property or a field."""
+    defined = Counter()
+    for cls in _exported_classes():
+        defined.update(
+            {node.name for node in cls.body if isinstance(node, ast.FunctionDef)}
+            | {
+                node.target.id
+                for node in cls.body
+                if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name)
+            }
+        )
+    return {node.name for _, node in _public_methods() if defined[node.name] > 1}
 
 
 def test_every_export_has_a_caller():
@@ -123,7 +161,15 @@ def test_every_export_has_a_caller():
     assert uncalled == []
 
 
+def test_shared_names_listed():
+    # the caller check above cannot see one side of a shared name lose its
+    # last caller while the other side is read, so each shared name is vetted
+    assert sorted(_shared_names() - SHARED.keys()) == []
+
+
 def test_no_stale_exemption():
-    # an exempt name that gained a caller, or stopped being an export, leaves NO_CALLER
+    # an exempt name that gained a caller, or stopped being an export, leaves
+    # NO_CALLER; a name no longer shared leaves SHARED
     used = _export_uses()
     assert sorted(name for name in NO_CALLER if used.get(name, True)) == []
+    assert sorted(SHARED.keys() - _shared_names()) == []

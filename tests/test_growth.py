@@ -28,7 +28,7 @@ from prodcong.residues import ResidueSet, product_set
 from prodcong.rng import stream
 from prodcong.smooth import build_smooth_table, greedy_factor
 from reference_growth import olson_reference, table_chain
-from reference_witness import growth_chain
+from reference_witness import check_witnesses, growth_chain
 
 
 def members(s) -> set:
@@ -126,7 +126,7 @@ class TestPowerSetSequence:
     def test_witnesses_verify_and_use_generators(self):
         gen = build_generator_set(35, 0.5)
         rep = power_set_sequence(gen)
-        rep.stable.verify()
+        check_witnesses(rep.stable)
         cutoff = gen.cutoff
         for factors in rep.stable.witness.values():
             assert all(1 <= f <= cutoff and gcd(f, 35) == 1 for f in factors)

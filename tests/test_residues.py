@@ -23,7 +23,7 @@ from prodcong.residues import (
     units_mask,
 )
 from prodcong.rng import stream
-from reference_witness import interval_product_witnesses
+from reference_witness import check_witnesses, interval_members, interval_product_witnesses
 
 
 def brute_product(m, xs, ys):
@@ -160,7 +160,7 @@ class TestKernels:
 
 
 class TestPigeonhole:
-    """The kernel fills Z_m (sums) or the units (products) without a table
+    """sum_set fills Z_m, and the product kernel the units, without a table
     past the pigeonhole bound; at the bound and one past it the results must
     still equal brute force."""
 
@@ -168,13 +168,18 @@ class TestPigeonhole:
 
     @pytest.mark.parametrize("m", MODULI)
     @pytest.mark.parametrize("excess", [0, 1])
-    def test_sum_at_and_past_bound(self, m, excess):
+    def test_sum_at_and_past_bound(self, monkeypatch, m, excess):
+        # sum_set's own pigeonhole: one past the bound no table runs, at the
+        # bound exactly one
+        tables = count_calls(monkeypatch, "_table_mask")
         gen = stream(m, f"pigeonhole-sum-{excess}")
         for _ in range(25):
             size_s = int(gen.integers(1, m + excess))
             xs = {int(x) for x in gen.choice(m, size_s, replace=False)}
             ys = {int(y) for y in gen.choice(m, m + excess - size_s, replace=False)}
+            before = len(tables)
             got = sum_set(ResidueSet.from_members(m, xs), ResidueSet.from_members(m, ys))
+            assert len(tables) - before == 1 - excess
             assert members(got) == brute_sum(m, xs, ys)
             if excess:
                 assert got.cardinality == m
@@ -200,6 +205,24 @@ class TestPigeonhole:
             if excess:
                 assert set(units) <= members(got)
 
+    @pytest.mark.parametrize("m", MODULI)
+    def test_unit_products_past_bound_build_no_table(self, monkeypatch, m):
+        # both operands all units, one past phi(m) together: the products are
+        # every unit, and the table calls for the non-unit parts get no cells
+        units = [x for x in range(m) if gcd(x, m) == 1]
+        phi = len(units)
+        tables = count_calls(monkeypatch, "_table_mask")
+        gen = stream(m, "pigeonhole-unit-products")
+        for _ in range(25):
+            count_s = int(gen.integers(1, phi + 1))
+            xs, ys = (
+                {int(x) for x in gen.choice(units, count, replace=False)}
+                for count in (count_s, phi + 1 - count_s)
+            )
+            got = product_set(ResidueSet.from_members(m, xs), ResidueSet.from_members(m, ys))
+            assert members(got) == set(units) == brute_product(m, xs, ys)
+        assert [args for args in tables if args[1].size and args[2].size] == []
+
     def test_bounds_are_sharp(self):
         # at the bound the short cut must not fire: these sets miss residues
         s = ResidueSet.from_members(12, range(6))
@@ -216,16 +239,34 @@ PRIMES_BELOW_200 = primes_in_range(2, 199)
 
 @st.composite
 def prime_operands(draw):
-    """A prime p < 200 and two operands, each a random set of units, the empty
-    set, a singleton or the full unit group, with 0 added or not."""
+    """A prime p < 200 and two operands, each with 0 added or not: a random set
+    of units, the empty set, a singleton, the full unit group, a subgroup of
+    index 1..6, a coset of one, or an arithmetic progression. A subgroup times
+    itself puts |H| in every count of the convolution."""
     p = draw(st.sampled_from(PRIMES_BELOW_200))
+    units = np.arange(1, p)
 
     def operand():
-        kind = draw(st.sampled_from(["units", "empty", "singleton", "group"]))
+        kind = draw(
+            st.sampled_from(
+                ["units", "empty", "singleton", "group", "subgroup", "coset", "progression"]
+            )
+        )
         if kind == "units":
             xs = set(draw(st.lists(st.integers(1, p - 1), max_size=p)))
         elif kind == "singleton":
             xs = {draw(st.integers(0, p - 1))}
+        elif kind in ("subgroup", "coset"):
+            index = draw(st.sampled_from([k for k in range(1, 7) if (p - 1) % k == 0]))
+            found = units[build_field_context(p).dlog[units] % index == 0]
+            if kind == "coset":
+                found = found * draw(st.integers(1, p - 1)) % p
+            xs = set(found.tolist())
+        elif kind == "progression":
+            start = draw(st.integers(0, p - 1))
+            step = draw(st.integers(1, p - 1))
+            found = (start + step * np.arange(draw(st.integers(1, p - 1)))) % p
+            xs = set(found[found != 0].tolist())
         else:
             xs = set(range(1, p)) if kind == "group" else set()
         if draw(st.booleans()):
@@ -272,7 +313,7 @@ class TestDlogProductPath:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(prodcong.residues, "_fft_pays", lambda cells, size: cells > 0)
             direct = _dlog_product_mask(p, left, right)
-            kernel = _pairwise_mask(p, left, right, np.multiply)
+            kernel = _pairwise_mask(p, left, right)
             public = product_set(ResidueSet.from_members(p, xs), ResidueSet.from_members(p, ys))
         if xs and ys:
             assert set(np.flatnonzero(direct).tolist()) == expected
@@ -315,7 +356,7 @@ class TestDlogProductPath:
         irfft = np.fft.irfft
         monkeypatch.setattr(np.fft, "irfft", lambda *a, **k: irfft(*a, **k) + shift)
         tables = count_calls(monkeypatch, "_table_mask")
-        got = _pairwise_mask(p, left, right, np.multiply)
+        got = _pairwise_mask(p, left, right)
         assert len(tables) == (0 if convolved else 1)
         assert set(np.flatnonzero(got).tolist()) == brute_product(p, left.tolist(), right.tolist())
 
@@ -346,10 +387,10 @@ class TestDlogProductPath:
         assert 2 * (p - 1) - 1 <= prodcong.residues._FFT_POINTS == 1 << 20
         build_field_context(p)  # the dlog table is kept per prime, outside this bound
         monkeypatch.setattr(prodcong.residues, "_table_mask", None)
-        left = right = Interval(0, 200000, p).members()
+        left = right = interval_members(Interval(0, 200000, p))
         tracemalloc.start()
         try:
-            got = _pairwise_mask(p, left, right, np.multiply)
+            got = _pairwise_mask(p, left, right)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -362,13 +403,13 @@ class TestIteratedProduct:
         w = iterated_interval_product([Interval(0, 2, 11)], with_witness=True)
         assert members(w) == {1, 2}
         assert w.witness == {1: (1,), 2: (2,)}
-        w.verify()
+        check_witnesses(w)
 
     def test_triple_of_prefixes_mod_101(self):
         w = iterated_interval_product([Interval(0, 4, 101)] * 3, with_witness=True)
         assert members(w) == {1, 2, 3, 4, 6, 8, 9, 12, 16, 18, 24, 27, 32, 36, 48, 64}
         assert w.cardinality == 16
-        w.verify()
+        check_witnesses(w)
 
     def test_six_singletons(self):
         w = iterated_interval_product([Interval(0, 1, 13)] * 6, with_witness=True)
@@ -381,8 +422,6 @@ class TestIteratedProduct:
         witnessed = iterated_interval_product(intervals, with_witness=True)
         assert plain == witnessed and witnessed == plain
         assert plain.witness is None and witnessed.witness is not None
-        with pytest.raises(DomainError):
-            plain.verify()
 
     def test_empty_list_rejected(self):
         with pytest.raises(DomainError):
@@ -391,7 +430,7 @@ class TestIteratedProduct:
     def test_witnesses_live_in_their_intervals(self):
         intervals = [Interval(3, 4, 31), Interval(0, 2, 31), Interval(10, 5, 31), Interval(7, 3, 31)]
         w = iterated_interval_product(intervals, with_witness=True)
-        w.verify()
+        check_witnesses(w)
         for r, factors in w.witness.items():
             assert len(factors) == len(intervals)
             for x, iv in zip(factors, intervals):
@@ -424,7 +463,7 @@ class TestIteratedProduct:
             assert members(got) == expected
         withw = iterated_interval_product(intervals, with_witness=True)
         assert members(withw) == expected
-        withw.verify()
+        check_witnesses(withw)
 
 
     @given(composite_modulus, st.data())

@@ -21,6 +21,7 @@ from prodcong.solver import (
     verify_witness,
 )
 from reference_scan import full_grid_scan, sampled_scan
+from reference_witness import interval_members
 
 
 def prefix(n, p):
@@ -43,8 +44,8 @@ def instance(p, a, b, c, left_lens, right_lens, left_offsets=None, right_offsets
 def naive_solve(inst):
     """Literal full enumeration over the 13-dimensional box."""
     p = inst.p
-    left_members = [iv.members().tolist() for iv in inst.left]
-    right_members = [iv.members().tolist() for iv in inst.right]
+    left_members = [interval_members(iv).tolist() for iv in inst.left]
+    right_members = [interval_members(iv).tolist() for iv in inst.right]
     for lt in iproduct(*left_members):
         lhs = inst.a * prod(lt) % p
         for rt in iproduct(*right_members):
