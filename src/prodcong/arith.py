@@ -27,20 +27,40 @@ def table_cap() -> int:
     return int(os.environ.get(TABLE_CAP_ENV, DEFAULT_TABLE_CAP))
 
 
-# Bases making Miller-Rabin deterministic for all n < 3.3e24 (covers 64-bit).
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43)
+# (psi_t, t): psi_t is the least strong pseudoprime to each of the first t
+# prime bases, so Miller-Rabin with those bases is exact for every n < psi_t
+# (Jaeschke 1993; Sorenson and Webster 2015 for psi_12 and psi_13).
+_MR_BOUNDS = (
+    (2047, 1),
+    (1373653, 2),
+    (25326001, 3),
+    (3215031751, 4),
+    (2152302898747, 5),
+    (3474749660383, 6),
+    (341550071728321, 7),  # psi_8 = psi_7
+    (3825123056546413051, 9),  # psi_11 = psi_10 = psi_9
+    (318665857834031151167461, 12),
+    (3317044064679887385961981, 13),
+)
 
 
 def is_prime(n: int) -> bool:
+    """Primality by trial division by the bases, then strong-probable-prime
+    tests to the shortest prefix of bases that is exact below its psi_t bound
+    (any n < 3.3e24, so every 64-bit n). For n >= psi_13 no prefix is proven:
+    all fourteen bases run (psi_13 itself fails base 43), and a True answer
+    is unproven."""
     if n < 2:
         return False
     for q in _MR_BASES:
         if n % q == 0:
             return n == q
+    count = next((t for bound, t in _MR_BOUNDS if n < bound), len(_MR_BASES))
     d = n - 1
     s = (d & -d).bit_length() - 1
     d >>= s
-    for a in _MR_BASES:
+    for a in _MR_BASES[:count]:
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
             continue
@@ -145,6 +165,26 @@ def primitive_root(p: int) -> int:
     raise ArithmeticError("no primitive root found")
 
 
+def _power_table(base: int, count: int, p: int) -> np.ndarray:
+    """int64 base**i mod p for i < count. The first 64 powers take one Python
+    multiplication each; then each doubling step multiplies the powers so far
+    by base**filled, whose int64 products stay below (p-1)**2. A p with
+    (p-1)**2 >= 2**63 takes the Python loop throughout."""
+    head = [1 % p]
+    for _ in range((min(count, 64) if (p - 1) ** 2 < 1 << 63 else count) - 1):
+        head.append(head[-1] * base % p)
+    out = np.empty(count, dtype=np.int64)
+    out[: len(head)] = head
+    filled = len(head)
+    while filled < count:
+        step = min(filled, count - filled)
+        chunk = out[filled : filled + step]
+        np.multiply(out[:step], pow(base, filled, p), out=chunk)
+        np.remainder(chunk, p, out=chunk)
+        filled += step
+    return out
+
+
 @dataclass(frozen=True)
 class FieldContext:
     """A prime field with a primitive root g, and the discrete logs of its units.
@@ -167,9 +207,32 @@ class FieldContext:
         if g % p == 0:
             raise ArithmeticError(f"g={g} does not generate every unit mod {p}")
         b = isqrt(p - 2) + 1
-        giant = np.array([pow(g, b * i, p) for i in range(-(-(p - 1) // b))], dtype=np.int64)
-        baby = np.array([pow(g, j, p) for j in range(b)], dtype=np.int64)
+        giant = _power_table(pow(g, b, p), -(-(p - 1) // b), p)
+        baby = _power_table(g, b, p)
         return giant, baby, np.argsort(giant[-1] * baby % p)
+
+    def _unlog(self, exponents: np.ndarray) -> np.ndarray:
+        """g**e mod p for an int64 array of exponents e in 0..p-2 (index's
+        inverse), read from the giant and baby tables: e = i*b + j."""
+        giant, baby, _ = self._powers
+        i = exponents // baby.size
+        out = giant[i]
+        i *= baby.size
+        np.subtract(exponents, i, out=i)  # j = e - i*b
+        out *= baby[i]
+        np.remainder(out, self.p, out=out)
+        return out
+
+    def _residue_mask(self, flags: np.ndarray) -> np.ndarray:
+        """The bool mask over 0..p-1 of the units g**e whose flag is set, for a
+        bool array of flags over e in 0..p-2: one gather through the table if
+        it is built, else the powers of the flagged exponents (_unlog)."""
+        mask = np.zeros(self.p, dtype=bool)
+        if "dlog" in vars(self):
+            mask[1:] = flags[self.dlog[1:]]
+        else:
+            mask[self._unlog(np.flatnonzero(flags))] = True
+        return mask
 
     # The table lists g**e for e = i*b + j as (g**b)**i * g**j: one outer
     # product of the giant and baby power tables, taken mod p in place, holds

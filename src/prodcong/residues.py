@@ -11,13 +11,14 @@ from __future__ import annotations
 from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import lru_cache
+from math import expm1, inf
 from operator import index
 from typing import Callable, Iterable, NamedTuple, Optional
 
 import numpy as np
 
-from .arith import build_field_context, euler_phi, factorize, is_prime, table_cap
-from .errors import DomainError
+from .arith import FieldContext, build_field_context, euler_phi, factorize, is_prime, table_cap
+from .errors import DomainError, ResourceError
 
 # Pairwise kernels and witness searches build their |S| x |T| tables in row
 # chunks of at most this many cells (one row when a single row is wider).
@@ -51,7 +52,7 @@ class Interval:
 
     @property
     def contains_zero(self) -> bool:
-        return 0 in self
+        return self.offset + self.length >= self.modulus
 
     def to_set(self) -> "ResidueSet":
         mask = np.zeros(self.modulus, dtype=bool)
@@ -195,8 +196,9 @@ def _pairwise_mask(
         left_units, right_units = units[left], units[right]
         if np.count_nonzero(left_units) + np.count_nonzero(right_units) > phi:
             out = units.copy()
-            out |= _table_mask(m, left[~left_units], right, np.multiply)
-            out |= _table_mask(m, left[left_units], right[~right_units], np.multiply)
+            for s, t in ((left[~left_units], right), (left[left_units], right[~right_units])):
+                if s.size and t.size:
+                    out |= _table_mask(m, s, t, np.multiply)
             return out
     if dlog_fft:
         out = _dlog_product_mask(m, left, right)
@@ -370,6 +372,161 @@ def _fold_witness(root: _Fold, k: int, r: int) -> tuple[int, ...]:
     return tuple(out)
 
 
+def _rotations(bits: int, logs: list[int], n: int) -> int:
+    """The product of a set and an interval in discrete-log coordinates: the
+    OR over x in logs of the n-bit set rotated by x in Z_n. The doubled
+    integer bits | bits << n, shifted down by n - x, holds that rotation in its
+    low n bits. When |set| + |interval| > n every unit is a product
+    (pigeonhole: r * I^-1 meets the set), and nothing is rotated."""
+    full = (1 << n) - 1
+    if bits.bit_count() + len(logs) > n:
+        return full
+    twice = bits | bits << n
+    out = 0
+    for x in logs:
+        out |= twice >> (n - x)
+    return out & full
+
+
+def _pack(logs: list[int], n: int) -> int:
+    """The n-bit set with bit x set for each x in logs."""
+    flags = np.zeros(n, dtype=bool)
+    flags[logs] = True
+    return int.from_bytes(np.packbits(flags, bitorder="little").tobytes(), "little")
+
+
+def _unpack(bits: int, n: int) -> np.ndarray:
+    """The n-bit set as a bool array indexed by exponent."""
+    raw = np.frombuffer(bits.to_bytes(-(-n // 8), "little"), dtype=np.uint8)
+    return np.unpackbits(raw, count=n, bitorder="little").view(bool)
+
+
+def _log_fold(
+    ctx: FieldContext, ivs: list[Interval], orders: list[list[int]], with_witness: bool
+) -> ResidueSet:
+    """iterated_interval_product mod a prime p, every interval a run of units.
+
+    Each node of the fold is one Python int with bit e set when g**e is in its
+    set, so a product with an interval is _rotations. The join H0 * H1 rotates
+    H0 through H1's intervals, the same set by associativity, and H1 itself is
+    kept only for witnesses. Only the root becomes a mask
+    (FieldContext._residue_mask).
+
+    A witness keeps the mask fold's first-found rule. Below an interval node
+    the smallest u = r * v^-1 over v in the interval with u in the previous
+    node is taken (v is then determined); at the join, the smallest u in H0
+    with r * u^-1 in H1.
+    """
+    p, n = ctx.p, ctx.p - 1
+    starts = [iv.offset + 1 for iv in ivs]
+    flat = ctx.index([x for s, iv in zip(starts, ivs) for x in range(s, s + iv.length)]).tolist()
+    logs, at = [], 0
+    for iv in ivs:
+        logs.append(flat[at : at + iv.length])
+        at += iv.length
+    chains = []
+    for order in orders[: 2 if with_witness else 1]:
+        chain = [_pack(logs[order[0]], n)]
+        for i in order[1:]:
+            chain.append(_rotations(chain[-1], logs[i], n))
+        chains.append(chain)
+    bits = chains[0][-1]
+    for order in orders[1:]:  # the join: H0 through H1's intervals
+        for i in order:
+            bits = _rotations(bits, logs[i], n)
+    root = ResidueSet(p, ctx._residue_mask(_unpack(bits, n)))
+    if not with_witness:
+        return root
+    size = -(-n // 8)
+
+    def descend(order: list[int], chain: list[int], r: int, e: int, out: list[int]) -> None:
+        # r = g**e lies in chain[j] = chain[j - 1] * I_order[j]
+        for j in range(len(order) - 1, 0, -1):
+            i = order[j]
+            prev = chain[j - 1].to_bytes(size, "little")
+            best = p
+            for v, x in enumerate(logs[i], starts[i]):
+                eu = (e - x) % n
+                if prev[eu >> 3] >> (eu & 7) & 1 and (u := r * pow(v, -1, p) % p) < best:
+                    best, out[i], e_best = u, v, eu
+            r, e = best, e_best
+        out[order[0]] = r
+
+    def rebuild(r: int) -> tuple[int, ...]:
+        out = [0] * len(ivs)
+        e = int(ctx.index([r])[0])
+        if len(orders) == 1:
+            descend(orders[0], chains[0], r, e, out)
+            return tuple(out)
+        eus = np.flatnonzero(_unpack(chains[0][-1], n))
+        evs = (e - eus) % n
+        hit = np.flatnonzero(_unpack(chains[1][-1], n)[evs])
+        us = ctx._unlog(eus[hit])
+        best = hit[us.argmin()]
+        u = int(us.min())
+        descend(orders[0], chains[0], u, int(eus[best]), out)
+        descend(orders[1], chains[1], r * pow(u, -1, p) % p, int(evs[best]), out)
+        return tuple(out)
+
+    return ResidueSet._witnessed(root, rebuild)
+
+
+def _rotations_pay(m: int, lengths: list[list[int]]) -> bool:
+    """The discrete-log fold replaces the mask fold when its rotations touch
+    no more words than the mask fold's products touch, both sized from the
+    interval lengths of each half, in fold order, alone.
+
+    A rotation is a shift and an OR of ceil(n/64) words, n = m - 1, for each
+    member of every interval but the first of a half, and of H1's intervals
+    again at the join. A product of the mask fold writes an m-entry bool mask
+    (m/8 words) and fills a table of |acc| * |I| cells, or runs the FFT when
+    that has fewer butterflies (_fft_pays). The |acc| * |I| products are taken
+    to land like as many random units, on n * (1 - exp(-|acc| * |I| / n)) of
+    them; past the units bound neither fold rotates or tabulates.
+    """
+    n = m - 1
+    size = 1 << (2 * n - 2).bit_length()
+    fft = size * (size.bit_length() - 1) if size <= _FFT_POINTS else inf
+    rotated = touched = 0
+    tops = []
+    for half in lengths:
+        acc = half[0]
+        for length in half[1:]:
+            touched += m / 8
+            if acc + length > n:
+                acc = n
+                continue
+            rotated += length
+            touched += min(acc * length, fft)
+            acc = -n * expm1(-acc * length / n)
+        tops.append(acc)
+    if len(tops) == 2:
+        touched += m / 8
+        acc = tops[0]
+        if acc + tops[1] <= n:
+            touched += min(acc * tops[1], fft)
+        for length in lengths[1]:
+            if acc + length <= n:
+                rotated += length
+                acc = -n * expm1(-acc * length / n)
+    return 2 * -(-n // 64) * rotated <= touched
+
+
+def _log_fold_context(ivs: list[Interval], orders: list[list[int]]) -> Optional[FieldContext]:
+    """The field context of the intervals' modulus when the fold runs in
+    discrete-log coordinates: no interval holds 0, the rotations pay, and the
+    modulus is a prime that build_field_context accepts."""
+    m = ivs[0].modulus
+    if any(iv.contains_zero for iv in ivs):
+        return None
+    if not _rotations_pay(m, [[ivs[i].length for i in order] for order in orders]):
+        return None
+    try:
+        return build_field_context(m)
+    except (DomainError, ResourceError):
+        return None
+
+
 def iterated_interval_product(
     intervals: Iterable[Interval], with_witness: bool = False
 ) -> ResidueSet:
@@ -380,7 +537,9 @@ def iterated_interval_product(
     requested, every member carries one factor per interval, aligned with the
     original interval order; the fold keeps the operands of each level (at
     most one per interval and one per product) and rebuilds a witness from
-    them when it is looked up.
+    them when it is looked up. Mod a prime with every interval a run of units
+    the fold runs in discrete-log coordinates (_log_fold); otherwise each node
+    is a mask and each product the pairwise kernel.
     """
     ivs = list(intervals)
     if not ivs:
@@ -390,14 +549,21 @@ def iterated_interval_product(
         raise DomainError("modulus mismatch")
     k = len(ivs)
     mid = (k + 1) // 2
+    orders = [
+        sorted(half, key=lambda i: (ivs[i].length, i))
+        for half in (range(mid), range(mid, k))
+        if half
+    ]
+    ctx = _log_fold_context(ivs, orders)
+    if ctx is not None:
+        return _log_fold(ctx, ivs, orders, with_witness)
     halves = []
-    for half in (range(mid), range(mid, k)):
+    for order in orders:
         acc = None
-        for i in sorted(half, key=lambda i: (ivs[i].length, i)):
+        for i in order:
             leaf = _Fold(ivs[i].to_set(), i)
             acc = leaf if acc is None else _Fold(product_set(acc.set, leaf.set), -1, acc, leaf)
-        if acc is not None:
-            halves.append(acc)
+        halves.append(acc)
     root = halves[0] if len(halves) == 1 else _Fold(
         product_set(halves[0].set, halves[1].set), -1, *halves
     )

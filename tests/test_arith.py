@@ -84,6 +84,44 @@ class TestFactorize:
             assert multiply_out(factorize(n)) == n
 
 
+# psi_t, the least strong pseudoprime to each of the first t prime bases
+# (psi_8 = psi_7 and psi_11 = psi_10 = psi_9)
+PSI = [
+    2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+    341550071728321, 341550071728321, 3825123056546413051, 3825123056546413051,
+    3825123056546413051, 318665857834031151167461, 3317044064679887385961981,
+]
+
+
+class TestIsPrime:
+    @pytest.mark.parametrize("t, n", list(enumerate(PSI, 1)))
+    def test_every_psi_bound_is_composite(self, t, n):
+        # psi_t passes the first t bases, so the test needs base t + 1
+        assert not is_prime(n)
+
+    def test_psi_12_factors_into_its_two_primes(self):
+        assert factorize(318665857834031151167461) == [(399165290221, 1), (798330580441, 1)]
+        assert is_prime(399165290221) and is_prime(798330580441)
+
+    def test_matches_the_sieve_below_2e5(self):
+        # every strong pseudoprime to base 2 below psi_2 (2047 is caught by
+        # trial division, 3277 = 29 * 113 by base 3)
+        sieve = np.zeros(200_000, dtype=bool)
+        sieve[primes_in_range(2, 199_999)] = True
+        assert [n for n in range(200_000) if is_prime(n) != sieve[n]] == []
+
+    def test_first_primes_past_each_bound(self):
+        # the least prime above each distinct psi_t takes the next prefix of
+        # bases and stays prime; past psi_13 (and for 2**89 - 1) the answer
+        # is unproven
+        for n in (
+            2053, 1373677, 25326023, 3215031767, 2152302898771, 3474749660401,
+            341550071728361, 3825123056546413057, 318665857834031151167483,
+            3317044064679887385962123, 2**89 - 1,
+        ):
+            assert is_prime(n), n
+
+
 class TestEulerPhi:
     def test_examples(self):
         assert euler_phi(1) == 1
@@ -174,6 +212,42 @@ class TestFieldContext:
             ctx = build_field_context(p)
             assert ctx.dlog.dtype == np.int64 and not ctx.dlog.flags.writeable
             assert np.array_equal(ctx.dlog, dlog_reference(p, ctx.g)), p
+
+    def test_power_tables_equal_the_pow_loop(self):
+        for p in primes_in_range(2, 5999) + [65537, 4194301]:
+            g = primitive_root(p)
+            b = isqrt(p - 2) + 1
+            giant, baby, order = FieldContext(p, g)._powers
+            assert giant.dtype == baby.dtype == np.int64
+            assert giant.tolist() == [pow(g, b * i, p) for i in range(-(-(p - 1) // b))], p
+            assert baby.tolist() == [pow(g, j, p) for j in range(b)], p
+            assert order.tolist() == np.argsort(giant[-1] * baby % p).tolist(), p
+
+    def test_power_tables_past_int64_products(self):
+        # (p-1)**2 >= 2**63: the powers are still exact, one Python product each
+        p, g = 3037000507, 2
+        b = isqrt(p - 2) + 1
+        giant, baby, _ = FieldContext(p, g)._powers
+        assert giant.size == -(-(p - 1) // b) and baby.size == b
+        for i in (0, 1, 63, 64, 65, 1000, giant.size - 1):
+            assert giant[i] == pow(g, b * i, p)
+        for j in (0, 1, 63, 64, 65, 1000, b - 1):
+            assert baby[j] == pow(g, j, p)
+
+    @pytest.mark.parametrize("p", [2, 3, 65537, 999983])
+    def test_residue_mask_equal_on_both_branches(self, p):
+        # the powers g**e of flagged exponents, through the table or not
+        g = primitive_root(p)
+        flags = stream(p, "residue-mask").random(p - 1) < 0.3
+        flags[-1] = True
+        ctx = FieldContext(p, g)
+        searched = ctx._residue_mask(flags)
+        assert "dlog" not in vars(ctx)
+        ctx.dlog
+        looked_up = ctx._residue_mask(flags)
+        expected = np.zeros(p, dtype=bool)
+        expected[[pow(g, int(e), p) for e in np.flatnonzero(flags)]] = True
+        assert np.array_equal(searched, expected) and np.array_equal(looked_up, expected)
 
     def test_int64_overflow_refused_before_allocating(self, monkeypatch):
         # 3037000507 is the least prime with (p-1)**2 >= 2**63; its table would

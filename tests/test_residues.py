@@ -8,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import prodcong.residues
+from prodcong import arith
 from prodcong.arith import TABLE_CAP_ENV, build_field_context, primes_in_range
 from prodcong.errors import DomainError
 from prodcong.residues import (
@@ -23,6 +24,7 @@ from prodcong.residues import (
     units_mask,
 )
 from prodcong.rng import stream
+from prodcong.solver import SolveInstance, solve, verify_witness
 from reference_witness import check_witnesses, interval_members, interval_product_witnesses
 
 
@@ -223,6 +225,21 @@ class TestPigeonhole:
             assert members(got) == set(units) == brute_product(m, xs, ys)
         assert [args for args in tables if args[1].size and args[2].size] == []
 
+    @pytest.mark.parametrize("m", MODULI)
+    def test_empty_non_unit_parts_build_nothing(self, monkeypatch, m):
+        # past the bound a non-unit part is multiplied only when both of its
+        # sides have members: all units on both sides call no table at all,
+        # and 0 in one operand calls exactly one
+        units = [x for x in range(m) if gcd(x, m) == 1]
+        tables = count_calls(monkeypatch, "_table_mask")
+        left = ResidueSet.from_members(m, units)
+        right = ResidueSet.from_members(m, units[:1])
+        assert members(product_set(left, right)) == set(units)
+        assert tables == []
+        with_zero = ResidueSet.from_members(m, units[:1] + [0])
+        assert members(product_set(left, with_zero)) == set(units) | {0}
+        assert len(tables) == 1
+
     def test_bounds_are_sharp(self):
         # at the bound the short cut must not fire: these sets miss residues
         s = ResidueSet.from_members(12, range(6))
@@ -332,6 +349,7 @@ class TestDlogProductPath:
         expected = interval_product_witnesses(intervals)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(prodcong.residues, "_fft_pays", lambda cells, size: cells > 0)
+            mp.setattr(prodcong.residues, "_log_fold_context", lambda ivs, orders: None)  # the mask fold
             assert iterated_interval_product(intervals, with_witness=True).witness == expected
 
     def test_rule_picks_the_convolution_for_large_tables(self, monkeypatch):
@@ -492,6 +510,114 @@ class TestIteratedProduct:
             with pytest.raises(KeyError):
                 w.witness[missing]
         assert len(w.witness) == 16 and list(w.witness) == sorted(members(w))
+
+
+# word boundaries of the n = p - 1 exponent bits, and the two smallest primes
+BOUNDARY_PRIMES = [2, 3, 61, 67, 127, 131, 191, 193, 257]
+
+
+@st.composite
+def unit_intervals(draw):
+    """A prime and 1..13 intervals of units mod it: offsets that keep each run
+    clear of 0, lengths up to p - 1 (short ones more often)."""
+    p = draw(st.sampled_from(sorted(set(PRIMES_BELOW_200 + BOUNDARY_PRIMES))))
+    intervals = []
+    for _ in range(draw(st.integers(1, 13))):
+        top = draw(st.sampled_from([min(p - 1, 4), p - 1]))
+        length = draw(st.integers(1, top))
+        intervals.append(Interval(draw(st.integers(0, p - 1 - length)), length, p))
+    return p, intervals
+
+
+def mask_fold(intervals, with_witness=False):
+    """iterated_interval_product with the discrete-log fold switched off."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(prodcong.residues, "_log_fold_context", lambda ivs, orders: None)
+        return iterated_interval_product(intervals, with_witness)
+
+
+class TestLogFold:
+    """Mod a prime with every interval a run of units, the fold runs in
+    discrete-log coordinates; it must give the mask fold's sets and
+    first-found witnesses, and every other case keeps the mask fold."""
+
+    @given(unit_intervals())
+    def test_equals_reference_and_mask_fold(self, case):
+        p, intervals = case
+        expected = interval_product_witnesses(intervals)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(prodcong.residues, "_rotations_pay", lambda m, lengths: True)
+            mp.setattr(prodcong.residues, "product_set", None)  # no mask product runs
+            plain = iterated_interval_product(intervals)
+            witnessed = iterated_interval_product(intervals, with_witness=True)
+            got = dict(witnessed.witness)
+        assert members(plain) == members(witnessed) == set(expected)
+        assert got == expected
+        assert plain == mask_fold(intervals)
+        assert dict(mask_fold(intervals, with_witness=True).witness) == expected
+
+    @pytest.mark.parametrize(
+        "m, offsets, cap",
+        [
+            (91, [3, 10, 40], None),  # composite
+            (101, [3, 99, 40], None),  # {100, 101 = 0}: through 0
+            (101, [3, 10, 40], 100),  # a prime over PRODCONG_TABLE_CAP
+        ],
+    )
+    def test_other_cases_keep_the_mask_fold(self, monkeypatch, m, offsets, cap):
+        def refuse(*args):
+            raise AssertionError("the discrete-log fold must not run")
+
+        monkeypatch.setattr(prodcong.residues, "_log_fold", refuse)
+        monkeypatch.setattr(prodcong.residues, "_rotations_pay", lambda m, lengths: True)
+        if cap is not None:
+            monkeypatch.setenv(TABLE_CAP_ENV, str(cap))
+        intervals = [Interval(o, 2, m) for o in offsets] + [Interval(7, 5, m)]
+        got = iterated_interval_product(intervals, with_witness=True)
+        assert dict(got.witness) == interval_product_witnesses(intervals)
+
+    @pytest.mark.parametrize(
+        "m, lengths, rotate",
+        [
+            (2003, [[3, 8, 12], [5, 9, 14]], True),  # short intervals at a small prime
+            (1000003, [[100] * 4, [100] * 3], True),  # a 6 * 10**7-cell table
+            (1000003, [[1000], [1000]], False),  # one 10**6-cell table
+            (100003, [[20000], [20000]], False),  # one FFT of 2**18 points
+            (10007, [[3000] * 3, [3000] * 3], False),  # FFTs, then pigeonhole
+        ],
+    )
+    def test_rule_rotates_where_tables_are_large(self, m, lengths, rotate):
+        assert prodcong.residues._rotations_pay(m, lengths) is rotate
+
+    def test_pigeonhole_fills_the_units(self):
+        # |{1..3}| + |{1..98}| > 100: every unit is a product, and witnesses
+        # still follow the first-found rule
+        intervals = [Interval(0, 3, 101), Interval(0, 98, 101), Interval(50, 2, 101)]
+        got = iterated_interval_product(intervals, with_witness=True)
+        assert members(got) == set(range(1, 101))
+        assert dict(got.witness) == interval_product_witnesses(intervals)
+
+    @pytest.mark.parametrize("top, bound", [(5, 20), (15, 31)])
+    def test_solve_memory_near_a_million(self, top, bound):
+        # 13 seeded intervals of lengths 1..top mod 999983, the field context
+        # built inside the bound. The mask fold keeps a p-entry mask per node:
+        # it peaked at 25.8 and 30.5 MB. Here the right side of the first
+        # instance takes the discrete-log fold (15.0 MB); both sides of the
+        # second keep the mask fold by _rotations_pay (30.5 MB)
+        p = 999983
+        gen = stream(p, "log-fold-memory")
+        lengths = gen.integers(1, top + 1, size=13).tolist()
+        intervals = [Interval(int(gen.integers(0, p - n)), n, p) for n in lengths]
+        instance = SolveInstance(p, 2, 3, 5, tuple(intervals[:6]), tuple(intervals[6:]))
+        arith._field_context.cache_clear()
+        tracemalloc.start()
+        try:
+            report = solve(instance)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert report.witness is None or verify_witness(instance, report.witness)
+        assert peak < bound * 2**20
 
 
 class TestCoverage:
