@@ -226,9 +226,11 @@ class FieldContext:
     def _residue_mask(self, flags: np.ndarray) -> np.ndarray:
         """The bool mask over 0..p-1 of the units g**e whose flag is set, for a
         bool array of flags over e in 0..p-2: one gather through the table if
-        it is built, else the powers of the flagged exponents (_unlog)."""
+        it is built and at least 1/32 of the flags are set (a power costs
+        about 32 entries of the gather), else the powers of the flagged
+        exponents (_unlog)."""
         mask = np.zeros(self.p, dtype=bool)
-        if "dlog" in vars(self):
+        if "dlog" in vars(self) and 32 * np.count_nonzero(flags) >= self.p:
             mask[1:] = flags[self.dlog[1:]]
         else:
             mask[self._unlog(np.flatnonzero(flags))] = True

@@ -370,21 +370,22 @@ def cmd_olson_suite(args) -> tuple[Report, int]:
     violations = 0
     for trial in range(args.count):
         m = int(gen.integers(2, args.m_max + 1))
-        units = np.flatnonzero(units_mask(m))
-        if m == 2:
-            members = [1]
-        else:
+        mask = np.zeros(m, dtype=bool)
+        mask[1] = True
+        if m > 2:
+            units = np.flatnonzero(units_mask(m))
             extra = int(gen.integers(0, len(units)))
-            chosen = gen.choice(units, size=extra, replace=False) if extra else []
-            members = sorted({1, *map(int, chosen)})
-        check = olson_bound_check(ResidueSet.from_members(m, members))
+            if extra:
+                mask[gen.choice(units, size=extra, replace=False)] = True
+        x = ResidueSet(m, mask)
+        check = olson_bound_check(x)
         ok = check.h_actual <= max(check.h_bound, 1)
         violations += not ok
         rows.append(
             {
                 "trial": trial,
                 "m": m,
-                "card_x": len(members),
+                "card_x": x.cardinality,
                 "group_order": check.group.cardinality,
                 "h_actual": check.h_actual,
                 "h_bound": check.h_bound,

@@ -22,7 +22,7 @@ from .residues import ResidueSet, _pairwise_mask, product_set
 
 DEFAULT_N_MAX = 64
 
-# The most products a chain step forms as Python ints (see _step).
+# The most products a chain step forms as Python ints (see _chain).
 _SCALAR_CELLS = 64
 
 
@@ -73,12 +73,15 @@ def _chain(m: int, gens: np.ndarray, n_max: int):
     Returns (level, cards, n_stab): level[r] is the least n with r in A^n (0
     when r is in none), cards lists |A^1|, |A^2|, ..., and n_stab is None when
     n_max came first. As 1 is in A, A^(n-1) * A already lies in A^n, so each
-    step multiplies only the newest layer F by A. The chain stops at the full
-    unit group, or at the first step that adds nothing, whose repeated
-    cardinality is then the last entry of cards.
+    step multiplies only the newest layer F by A without 1 (F * 1 = F is
+    already seen). The chain stops at the full unit group, or at the first
+    step that adds nothing, whose repeated cardinality is then the last entry
+    of cards.
 
-    A step (`_step`) costs what its products cost while the newest layer is
-    small, and builds the m-entry pairwise mask only for a large one.
+    While the |F|(|A| - 1) products number at most _SCALAR_CELLS, a step
+    loops over Python ints against seen (one byte per residue) and keeps the
+    layer as a list in order of discovery: a numpy call costs more than that
+    loop. A larger step builds the m-entry pairwise mask (_step).
     """
     phi = euler_phi(m)
     level = np.zeros(m, dtype=np.int32)
@@ -88,12 +91,25 @@ def _chain(m: int, gens: np.ndarray, n_max: int):
     seen = bytearray(m)
     np.frombuffer(seen, dtype=bool)[gens] = True
     levels = memoryview(level)
-    frontier = gens
+    others = gens[gens != 1]
+    units = others.tolist()
+    frontier = gens.tolist()
     cards = [gens.size]
     n = 1
     n_stab: Optional[int] = 1 if gens.size == phi else None
     while n_stab is None and n < n_max:
-        frontier = _step(m, frontier, gens, seen, levels, n + 1)
+        if len(frontier) * len(units) <= _SCALAR_CELLS:
+            new = []
+            for u in frontier if isinstance(frontier, list) else frontier.tolist():
+                for a in units:
+                    r = u * a % m
+                    if not seen[r]:
+                        seen[r] = 1
+                        levels[r] = n + 1
+                        new.append(r)
+            frontier = new
+        else:
+            frontier = _step(m, frontier, others, seen, level, n + 1)
         cards.append(cards[-1] + len(frontier))
         if len(frontier) == 0:
             n_stab = n
@@ -104,33 +120,15 @@ def _chain(m: int, gens: np.ndarray, n_max: int):
     return level, cards, n_stab
 
 
-def _step(m: int, frontier, gens: np.ndarray, seen: bytearray, levels: memoryview, n: int):
-    """The members of frontier * gens mod m that seen does not hold yet, each
-    marked in seen and given level n. seen holds one byte per residue (the
-    chain's mask) and levels is a memoryview of the chain's level array.
-
-    While the |F||A| products number at most _SCALAR_CELLS, the step loops over
-    Python ints against seen and returns a list in order of discovery: a numpy
-    call costs more than that loop. Otherwise it builds the m-entry pairwise
-    mask of the step and returns the new members as an ascending array. The
-    frontier may be either kind.
-    """
-    if len(frontier) * gens.size <= _SCALAR_CELLS:
-        new = []
-        units = gens.tolist()
-        for u in frontier.tolist() if isinstance(frontier, np.ndarray) else frontier:
-            for a in units:
-                r = u * a % m
-                if not seen[r]:
-                    seen[r] = 1
-                    levels[r] = n
-                    new.append(r)
-        return new
+def _step(m: int, frontier, others: np.ndarray, seen: bytearray, level: np.ndarray, n: int):
+    """The members of frontier * others mod m that seen does not hold yet, as
+    an ascending array, each marked in seen and given level n: one m-entry
+    pairwise mask. seen holds one byte per residue (the chain's mask)."""
     mask = np.frombuffer(seen, dtype=bool)
     frontier = np.asarray(frontier, dtype=np.int64)
-    new = np.flatnonzero(_pairwise_mask(m, frontier, gens, dlog_fft=False) > mask)
+    new = np.flatnonzero(_pairwise_mask(m, frontier, others, dlog_fft=False) > mask)
     mask[new] = True
-    np.frombuffer(levels, dtype=np.int32)[new] = n
+    level[new] = n
     return new
 
 

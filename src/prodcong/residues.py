@@ -11,7 +11,6 @@ from __future__ import annotations
 from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import lru_cache
-from math import expm1, inf
 from operator import index
 from typing import Callable, Iterable, NamedTuple, Optional
 
@@ -23,9 +22,12 @@ from .errors import DomainError, ResourceError
 # Pairwise kernels and witness searches build their |S| x |T| tables in row
 # chunks of at most this many cells (one row when a single row is wider).
 _CHUNK_CELLS = 1 << 18
-# The discrete-log convolution of a product set mod p runs on at most this
-# many FFT points; a larger prime takes the chunked table.
+# A sumset in Z_n takes the FFT on at most this many points; a larger n takes
+# the other paths of _sum_path.
 _FFT_POINTS = 1 << 20
+# The m-entry masks that the discrete-log fold's fixed work costs about as
+# much as: the intervals' logs and the root's p-entry gather (_log_fold_context).
+_GATHER_MASKS = 3
 
 
 @dataclass(frozen=True)
@@ -188,9 +190,9 @@ def _pairwise_mask(
     # and T number more than phi(m) together, r * T_u^-1 meets S_u for every
     # unit r, so S_u T_u is every unit; the products with a non-unit operand
     # are non-units and are still computed. The size test comes first, so
-    # small operands pay nothing. A product mod a prime that pigeonhole leaves
-    # open may be one convolution (_dlog_product_mask) instead of the table;
-    # dlog_fft=False keeps it on the table.
+    # small operands pay nothing. A product mod a prime whose sumset of logs
+    # takes the FFT (_sum_path) runs in discrete-log coordinates instead of
+    # the table; dlog_fft=False keeps it on the table.
     if left.size + right.size > (phi := euler_phi(m)):
         units = units_mask(m)
         left_units, right_units = units[left], units[right]
@@ -200,62 +202,101 @@ def _pairwise_mask(
                 if s.size and t.size:
                     out |= _table_mask(m, s, t, np.multiply)
             return out
-    if dlog_fft:
-        out = _dlog_product_mask(m, left, right)
-        if out is not None:
-            return out
-    return _table_mask(m, left, right, np.multiply)
-
-
-def _fft_pays(cells: int, size: int) -> bool:
-    """The convolution replaces the table when the table has more cells than
-    the FFT of `size` points does butterflies, size * log2(size)."""
-    return cells > size * (size.bit_length() - 1)
-
-
-def _dlog_product_mask(m: int, left: np.ndarray, right: np.ndarray) -> Optional[np.ndarray]:
-    """The product mask mod a prime m from one linear convolution, or None
-    when the table path should run instead.
-
-    With g a primitive root, g^i * g^j = g^((i + j) mod (m - 1)), so the
-    nonzero products are the support of the cyclic convolution of the two
-    discrete-log indicators: a linear convolution of length 2(m - 1) - 1,
-    folded onto Z_(m-1). Its entries count pairs, integers at most
-    min(|S|, |T|). The float FFT errs by far less than 1/2 at these sizes,
-    so rounding recovers each count; a residual of 1/4 or more means
-    something went wrong, and the table runs instead. A product is 0 exactly
-    when one factor is 0.
-    """
-    n = m - 1
-    size = 1 << (2 * n - 2).bit_length()  # the least power of two >= 2n - 1
-    if not (
-        _fft_pays(left.size * right.size, size)
-        and size <= _FFT_POINTS
+    if (
+        dlog_fft
+        and _sum_path(m - 1, np.count_nonzero(left), np.count_nonzero(right)) == "fft"
         and m <= table_cap()
         and is_prime(m)
     ):
-        return None
-    dlog = build_field_context(m).dlog
+        return _dlog_product_mask(m, left, right)
+    return _table_mask(m, left, right, np.multiply)
 
-    def spectrum(operand: np.ndarray) -> np.ndarray:
-        indicator = np.zeros(n)
-        indicator[dlog[operand[operand != 0]]] = 1.0
-        return np.fft.rfft(indicator, size)
 
-    product = spectrum(left)
-    product *= spectrum(right)
-    conv = np.fft.irfft(product, size)
-    del product
-    counts = conv[:n]
-    counts[: n - 1] += conv[n : 2 * n - 1]
-    rounded = np.rint(counts)
-    counts -= rounded
-    if np.abs(counts, out=counts).max() >= 0.25:
-        return None
-    out = np.empty(m, dtype=bool)
-    out[0] = not (left.all() and right.all())  # the rule admits no empty operand
-    out[1:] = (rounded > 0)[dlog[1:]]
+def _dlog_product_mask(m: int, left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """The product mask mod a prime m as a sum of discrete logs.
+
+    With g a primitive root, g^i * g^j = g^((i + j) mod (m - 1)), so the
+    nonzero products are the sumset of the operands' logs in Z_(m-1)
+    (_exponent_sum): one gather of logs in, one gather of the sumset out. A
+    product is 0 exactly when one factor is 0.
+    """
+    n = m - 1
+    ctx = build_field_context(m)
+    flags = np.zeros(n, dtype=bool)
+    flags[ctx.dlog[left[left != 0]]] = True
+    bits = _exponent_sum(n, _pack(flags), ctx.dlog[right[right != 0]])
+    out = ctx._residue_mask(_unpack(bits, n))
+    out[0] = bool(left.size and right.size) and not (left.all() and right.all())
     return out
+
+
+def _sum_path(n: int, a: int, b: int) -> str:
+    """The exact path of A + B in Z_n for |A| = a and |B| = b, by size alone.
+
+    - "pigeonhole" when a + b > n: r - B meets A for every r, so A + B = Z_n
+    - "fft" when the a x b table has more cells than the FFT of L points does
+      butterflies, L log2 L, for L the least power of two >= 2n - 1 and at
+      most _FFT_POINTS
+    - "rotations" when rotating A by each member of B costs no more than the
+      table, both in units of a shift or OR of one word (64 exponents) of a
+      Python int: a rotation costs a word per 64 exponents plus 64, and the
+      table 8 per 64 exponents more than the rotations do (A unpacked, the
+      sum packed again), 5000 in numpy calls and 3 per cell; fitted on x86-64
+      for n from 300 to 4194300
+    - "table" otherwise
+    """
+    if a + b > n:
+        return "pigeonhole"
+    size = 1 << (2 * n - 2).bit_length()
+    if a * b > size * (size.bit_length() - 1) and size <= _FFT_POINTS:
+        return "fft"
+    words = n >> 6
+    if b * (words + 64) <= 8 * words + 5000 + 3 * a * b:
+        return "rotations"
+    return "table"
+
+
+def _exponent_sum(n: int, bits: int, logs) -> int:
+    """A + B in Z_n for A the n-bit int bits (bit e set for e in A) and B a
+    list or array of distinct exponents, returned as an n-bit int; the path
+    is _sum_path's.
+
+    The FFT path convolves the two indicators: a linear convolution of length
+    2n - 1, folded onto Z_n. Its entries count pairs, integers at most
+    min(|A|, |B|). The float FFT errs by far less than 1/2 at these sizes, so
+    rounding recovers each count; a residual of 1/4 or more means something
+    went wrong, and the table runs instead.
+    """
+    path = _sum_path(n, bits.bit_count(), len(logs))
+    if path == "pigeonhole":
+        return (1 << n) - 1
+    if path == "rotations":
+        # the doubled int, shifted down by n - x, holds A + x in its low n bits
+        twice = bits | bits << n
+        out = 0
+        for x in logs.tolist() if isinstance(logs, np.ndarray) else logs:
+            out |= twice >> (n - x)
+        return out & ((1 << n) - 1)
+    left, right = np.flatnonzero(_unpack(bits, n)), np.asarray(logs, dtype=np.int64)
+    if path == "fft":
+        size = 1 << (2 * n - 2).bit_length()
+
+        def spectrum(operand: np.ndarray) -> np.ndarray:
+            indicator = np.zeros(n)
+            indicator[operand] = 1.0
+            return np.fft.rfft(indicator, size)
+
+        product = spectrum(left)
+        product *= spectrum(right)
+        conv = np.fft.irfft(product, size)
+        del product
+        counts = conv[:n]
+        counts[: n - 1] += conv[n : 2 * n - 1]
+        rounded = np.rint(counts)
+        counts -= rounded
+        if np.abs(counts, out=counts).max() < 0.25:
+            return _pack(rounded > 0)
+    return _pack(_table_mask(n, left, right, np.add))
 
 
 def _table_mask(m: int, left: np.ndarray, right: np.ndarray, op) -> np.ndarray:
@@ -372,26 +413,8 @@ def _fold_witness(root: _Fold, k: int, r: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _rotations(bits: int, logs: list[int], n: int) -> int:
-    """The product of a set and an interval in discrete-log coordinates: the
-    OR over x in logs of the n-bit set rotated by x in Z_n. The doubled
-    integer bits | bits << n, shifted down by n - x, holds that rotation in its
-    low n bits. When |set| + |interval| > n every unit is a product
-    (pigeonhole: r * I^-1 meets the set), and nothing is rotated."""
-    full = (1 << n) - 1
-    if bits.bit_count() + len(logs) > n:
-        return full
-    twice = bits | bits << n
-    out = 0
-    for x in logs:
-        out |= twice >> (n - x)
-    return out & full
-
-
-def _pack(logs: list[int], n: int) -> int:
-    """The n-bit set with bit x set for each x in logs."""
-    flags = np.zeros(n, dtype=bool)
-    flags[logs] = True
+def _pack(flags: np.ndarray) -> int:
+    """The int with bit e set for each set entry e of a bool array."""
     return int.from_bytes(np.packbits(flags, bitorder="little").tobytes(), "little")
 
 
@@ -407,10 +430,10 @@ def _log_fold(
     """iterated_interval_product mod a prime p, every interval a run of units.
 
     Each node of the fold is one Python int with bit e set when g**e is in its
-    set, so a product with an interval is _rotations. The join H0 * H1 rotates
-    H0 through H1's intervals, the same set by associativity, and H1 itself is
-    kept only for witnesses. Only the root becomes a mask
-    (FieldContext._residue_mask).
+    set, so a product with an interval is a sumset of exponents
+    (_exponent_sum). The join H0 * H1 multiplies H0 by H1's intervals in turn,
+    the same set by associativity, and H1 itself is kept only for witnesses.
+    Only the root becomes a mask (FieldContext._residue_mask).
 
     A witness keeps the mask fold's first-found rule. Below an interval node
     the smallest u = r * v^-1 over v in the interval with u in the previous
@@ -426,14 +449,16 @@ def _log_fold(
         at += iv.length
     chains = []
     for order in orders[: 2 if with_witness else 1]:
-        chain = [_pack(logs[order[0]], n)]
+        flags = np.zeros(n, dtype=bool)
+        flags[logs[order[0]]] = True
+        chain = [_pack(flags)]
         for i in order[1:]:
-            chain.append(_rotations(chain[-1], logs[i], n))
+            chain.append(_exponent_sum(n, chain[-1], logs[i]))
         chains.append(chain)
     bits = chains[0][-1]
     for order in orders[1:]:  # the join: H0 through H1's intervals
         for i in order:
-            bits = _rotations(bits, logs[i], n)
+            bits = _exponent_sum(n, bits, logs[i])
     root = ResidueSet(p, ctx._residue_mask(_unpack(bits, n)))
     if not with_witness:
         return root
@@ -471,58 +496,18 @@ def _log_fold(
     return ResidueSet._witnessed(root, rebuild)
 
 
-def _rotations_pay(m: int, lengths: list[list[int]]) -> bool:
-    """The discrete-log fold replaces the mask fold when its rotations touch
-    no more words than the mask fold's products touch, both sized from the
-    interval lengths of each half, in fold order, alone.
-
-    A rotation is a shift and an OR of ceil(n/64) words, n = m - 1, for each
-    member of every interval but the first of a half, and of H1's intervals
-    again at the join. A product of the mask fold writes an m-entry bool mask
-    (m/8 words) and fills a table of |acc| * |I| cells, or runs the FFT when
-    that has fewer butterflies (_fft_pays). The |acc| * |I| products are taken
-    to land like as many random units, on n * (1 - exp(-|acc| * |I| / n)) of
-    them; past the units bound neither fold rotates or tabulates.
-    """
-    n = m - 1
-    size = 1 << (2 * n - 2).bit_length()
-    fft = size * (size.bit_length() - 1) if size <= _FFT_POINTS else inf
-    rotated = touched = 0
-    tops = []
-    for half in lengths:
-        acc = half[0]
-        for length in half[1:]:
-            touched += m / 8
-            if acc + length > n:
-                acc = n
-                continue
-            rotated += length
-            touched += min(acc * length, fft)
-            acc = -n * expm1(-acc * length / n)
-        tops.append(acc)
-    if len(tops) == 2:
-        touched += m / 8
-        acc = tops[0]
-        if acc + tops[1] <= n:
-            touched += min(acc * tops[1], fft)
-        for length in lengths[1]:
-            if acc + length <= n:
-                rotated += length
-                acc = -n * expm1(-acc * length / n)
-    return 2 * -(-n // 64) * rotated <= touched
-
-
-def _log_fold_context(ivs: list[Interval], orders: list[list[int]]) -> Optional[FieldContext]:
+def _log_fold_context(ivs: list[Interval]) -> Optional[FieldContext]:
     """The field context of the intervals' modulus when the fold runs in
-    discrete-log coordinates: no interval holds 0, the rotations pay, and the
-    modulus is a prime that build_field_context accepts."""
-    m = ivs[0].modulus
-    if any(iv.contains_zero for iv in ivs):
-        return None
-    if not _rotations_pay(m, [[ivs[i].length for i in order] for order in orders]):
+    discrete-log coordinates: no interval holds 0, the modulus is a prime that
+    build_field_context accepts, and the mask fold would build more m-entry
+    masks (one per interval and one per product) than the root's p-entry
+    gather and the intervals' logs cost, about _GATHER_MASKS of them. That
+    holds once the context's table is built; a cold context's baby-step
+    giant-step search costs more at large p."""
+    if any(iv.contains_zero for iv in ivs) or 2 * len(ivs) - 1 <= _GATHER_MASKS:
         return None
     try:
-        return build_field_context(m)
+        return build_field_context(ivs[0].modulus)
     except (DomainError, ResourceError):
         return None
 
@@ -537,9 +522,10 @@ def iterated_interval_product(
     requested, every member carries one factor per interval, aligned with the
     original interval order; the fold keeps the operands of each level (at
     most one per interval and one per product) and rebuilds a witness from
-    them when it is looked up. Mod a prime with every interval a run of units
-    the fold runs in discrete-log coordinates (_log_fold); otherwise each node
-    is a mask and each product the pairwise kernel.
+    them when it is looked up. Mod a prime, with every interval a run of units
+    and enough of them (_log_fold_context), the fold runs in discrete-log
+    coordinates (_log_fold); otherwise each node is a mask and each product
+    the pairwise kernel.
     """
     ivs = list(intervals)
     if not ivs:
@@ -554,7 +540,7 @@ def iterated_interval_product(
         for half in (range(mid), range(mid, k))
         if half
     ]
-    ctx = _log_fold_context(ivs, orders)
+    ctx = _log_fold_context(ivs)
     if ctx is not None:
         return _log_fold(ctx, ivs, orders, with_witness)
     halves = []

@@ -444,15 +444,21 @@ class TestChainKernel:
 
 
 def chain_case(data):
-    """(m, gens, n_max): the units up to a cutoff 1-17, or an olson-suite
-    style random set of units with 1, for prime or composite m <= 400, with
-    n_max either truncating or past every possible step."""
+    """(m, gens, n_max): the units up to a cutoff 1-17, A = {1}, A = {1, a}
+    (whose chain takes ord_m(a) - 1 steps), or an olson-suite style random
+    set of units with 1, for prime or composite m <= 400, with n_max either
+    truncating or past every possible step."""
     m = data.draw(
         st.one_of(st.sampled_from(primes_in_range(2, 400)), st.integers(min_value=2, max_value=400))
     )
     units = np.flatnonzero(np.gcd(np.arange(m), m) == 1)
-    if data.draw(st.booleans()):
+    kind = data.draw(st.sampled_from(["cutoff", "one", "pair", "random"]))
+    if kind == "cutoff":
         gens = build_generator_set(m, cutoff=data.draw(st.integers(1, 17))).base.members
+    elif kind == "one" or units.size == 1:
+        gens = np.array([1])
+    elif kind == "pair":
+        gens = np.array([1, data.draw(st.sampled_from(units[1:].tolist()))])
     else:
         extra = data.draw(st.integers(0, units.size - 1))
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))

@@ -1,6 +1,7 @@
 import tracemalloc
+from collections import Counter
 from itertools import permutations
-from math import gcd, prod
+from math import gcd, inf, prod
 
 import numpy as np
 import pytest
@@ -15,7 +16,9 @@ from prodcong.residues import (
     Interval,
     ResidueSet,
     _dlog_product_mask,
+    _exponent_sum,
     _pairwise_mask,
+    _sum_path,
     _table_mask,
     coverage_check,
     iterated_interval_product,
@@ -310,6 +313,28 @@ def count_calls(monkeypatch, name):
     return calls
 
 
+SUM_PATHS = ["rotations", "table", "fft"]
+
+
+def force_path(mp, path):
+    """Send every sumset in Z_n to one path; None keeps the size rule."""
+    if path is not None:
+        mp.setattr(prodcong.residues, "_sum_path", lambda n, a, b: path)
+
+
+def kernel_paths(monkeypatch):
+    """Wrap the sumset kernel and return the list of paths its calls take."""
+    paths = []
+    kernel = prodcong.residues._exponent_sum
+
+    def counted(n, bits, logs):
+        paths.append(prodcong.residues._sum_path(n, bits.bit_count(), len(logs)))
+        return kernel(n, bits, logs)
+
+    monkeypatch.setattr(prodcong.residues, "_exponent_sum", counted)
+    return paths
+
+
 def halves_of_units(p, seed):
     """Two disjoint random sets of a third of the units mod p each: no
     pigeonhole bound applies, and their table has more cells than the FFT."""
@@ -318,24 +343,49 @@ def halves_of_units(p, seed):
     return np.sort(units[:third]), np.sort(units[third : 2 * third])
 
 
+class TestExponentSum:
+    """A + B in Z_n = Z_(p-1), the kernel of every product mod a prime, must
+    equal the brute-force sumset on every path, forced or picked by size."""
+
+    @given(st.data())
+    def test_every_path_equals_brute_force(self, data):
+        n = data.draw(st.one_of(st.integers(1, 300), st.sampled_from([63, 64, 65, 127, 128])))
+        a = data.draw(st.integers(0, n))
+        b = data.draw(st.one_of(st.integers(0, n), st.sampled_from([n - a, n + 1 - a])))
+        b = min(b, n)  # |A| + |B| = n leaves a gap open; n + 1 closes every one
+        xs = data.draw(st.permutations(range(n)))[:a]
+        ys = data.draw(st.permutations(range(n)))[:b]
+        expected = {(x + y) % n for x in xs for y in ys}
+        bits = sum(1 << x for x in xs)
+
+        def exponents(got):
+            assert 0 <= got < 1 << n
+            return {e for e in range(n) if got >> e & 1}
+
+        assert exponents(_exponent_sum(n, bits, ys)) == expected
+        assert (_sum_path(n, a, b) == "pigeonhole") is (a + b > n)
+        for path in SUM_PATHS:
+            with pytest.MonkeyPatch.context() as mp:
+                force_path(mp, path)
+                assert exponents(_exponent_sum(n, bits, ys)) == expected
+                assert exponents(_exponent_sum(n, bits, np.array(ys, dtype=np.int64))) == expected
+
+
 class TestDlogProductPath:
     """Products mod a prime from one discrete-log convolution must equal the
     table and brute force, whatever path the kernel takes."""
 
-    @given(prime_operands())
-    def test_forced_path_matches_table_and_brute_force(self, case):
+    @given(prime_operands(), st.sampled_from(SUM_PATHS))
+    def test_forced_path_matches_table_and_brute_force(self, case, path):
         p, xs, ys = case
         left, right = as_operand(xs), as_operand(ys)
         expected = brute_product(p, xs, ys)
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(prodcong.residues, "_fft_pays", lambda cells, size: cells > 0)
+            force_path(mp, path)
             direct = _dlog_product_mask(p, left, right)
             kernel = _pairwise_mask(p, left, right)
             public = product_set(ResidueSet.from_members(p, xs), ResidueSet.from_members(p, ys))
-        if xs and ys:
-            assert set(np.flatnonzero(direct).tolist()) == expected
-        else:
-            assert direct is None  # an empty table is never worth a convolution
+        assert set(np.flatnonzero(direct).tolist()) == expected
         assert set(np.flatnonzero(kernel).tolist()) == expected
         assert set(np.flatnonzero(_table_mask(p, left, right, np.multiply)).tolist()) == expected
         assert members(public) == expected
@@ -348,8 +398,8 @@ class TestDlogProductPath:
         ]
         expected = interval_product_witnesses(intervals)
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(prodcong.residues, "_fft_pays", lambda cells, size: cells > 0)
-            mp.setattr(prodcong.residues, "_log_fold_context", lambda ivs, orders: None)  # the mask fold
+            force_path(mp, "fft")
+            mp.setattr(prodcong.residues, "_GATHER_MASKS", inf)  # the mask fold
             assert iterated_interval_product(intervals, with_witness=True).witness == expected
 
     def test_rule_picks_the_convolution_for_large_tables(self, monkeypatch):
@@ -382,21 +432,46 @@ class TestDlogProductPath:
         "m, cap, points", [(1001, None, None), (1009, 1008, None), (1009, None, 1024)]
     )
     def test_table_runs_where_the_convolution_may_not(self, monkeypatch, m, cap, points):
-        # composite m; a prime over PRODCONG_TABLE_CAP, where the dlog table
-        # would raise; and a prime whose L = 2048 is over the FFT point cap
+        # 333 x 336 unit cells, over the 22528 butterflies of L = 2048 at which
+        # the rule takes the FFT: composite m; a prime over PRODCONG_TABLE_CAP,
+        # where the dlog table would raise; and a prime whose L is over the
+        # FFT point cap
         def refuse(p):
             raise AssertionError("the dlog table must not be built")
 
         monkeypatch.setattr(prodcong.residues, "build_field_context", refuse)
-        monkeypatch.setattr(prodcong.residues, "_fft_pays", lambda cells, size: cells > 0)
         if cap is not None:
             monkeypatch.setenv(TABLE_CAP_ENV, str(cap))
         if points is not None:
             monkeypatch.setattr(prodcong.residues, "_FFT_POINTS", points)
-        xs = {x for x in range(0, m, 7)}
-        ys = {x for x in range(1, m, 11)}
+        xs = set(range(0, m, 3))
+        ys = set(range(1, m, 3))
+        assert (_sum_path(m - 1, len(xs) - 1, len(ys)) == "fft") is (points is None)
         got = product_set(ResidueSet.from_members(m, xs), ResidueSet.from_members(m, ys))
         assert members(got) == brute_product(m, xs, ys)
+
+    @pytest.mark.parametrize("p", [3001, 4001, 5003, 5987])
+    def test_convolution_exactly_past_the_butterflies(self, monkeypatch, p):
+        # a product of units mod a prime in 3000-6000 takes the FFT exactly
+        # when its table has more cells than L log2 L (L = 8192 or 16384)
+        size = 1 << (2 * p - 4).bit_length()
+        butterflies = size * (size.bit_length() - 1)
+        irfft = np.fft.irfft
+        ffts = []
+        monkeypatch.setattr(np.fft, "irfft", lambda *a, **k: ffts.append(1) or irfft(*a, **k))
+        gen = stream(p, "fft-edge")
+        units = np.arange(1, p)
+        for cells in (butterflies - 500, butterflies, butterflies + 1, butterflies + 700):
+            for rows in (48, 150, 400):
+                cols = -(-cells // rows)
+                if rows + cols >= p - 1:
+                    continue
+                picked = gen.permutation(units)
+                left, right = np.sort(picked[:rows]), np.sort(picked[rows : rows + cols])
+                before = len(ffts)
+                got = _pairwise_mask(p, left, right)
+                assert len(ffts) - before == (rows * cols > butterflies)
+                assert np.array_equal(got, _table_mask(p, left, right, np.multiply))
 
     def test_buffers_bounded_at_the_point_cap(self, monkeypatch):
         # p = 2**19 - 1 needs 2 * (p - 1) - 1 < 2**20 = L points. Two intervals
@@ -532,7 +607,7 @@ def unit_intervals(draw):
 def mask_fold(intervals, with_witness=False):
     """iterated_interval_product with the discrete-log fold switched off."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(prodcong.residues, "_log_fold_context", lambda ivs, orders: None)
+        mp.setattr(prodcong.residues, "_GATHER_MASKS", inf)
         return iterated_interval_product(intervals, with_witness)
 
 
@@ -541,12 +616,13 @@ class TestLogFold:
     discrete-log coordinates; it must give the mask fold's sets and
     first-found witnesses, and every other case keeps the mask fold."""
 
-    @given(unit_intervals())
-    def test_equals_reference_and_mask_fold(self, case):
+    @given(unit_intervals(), st.sampled_from([None, *SUM_PATHS]))
+    def test_equals_reference_and_mask_fold(self, case, path):
         p, intervals = case
         expected = interval_product_witnesses(intervals)
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(prodcong.residues, "_rotations_pay", lambda m, lengths: True)
+            mp.setattr(prodcong.residues, "_GATHER_MASKS", 0)  # any number of intervals
+            force_path(mp, path)
             mp.setattr(prodcong.residues, "product_set", None)  # no mask product runs
             plain = iterated_interval_product(intervals)
             witnessed = iterated_interval_product(intervals, with_witness=True)
@@ -569,7 +645,7 @@ class TestLogFold:
             raise AssertionError("the discrete-log fold must not run")
 
         monkeypatch.setattr(prodcong.residues, "_log_fold", refuse)
-        monkeypatch.setattr(prodcong.residues, "_rotations_pay", lambda m, lengths: True)
+        monkeypatch.setattr(prodcong.residues, "_GATHER_MASKS", 0)
         if cap is not None:
             monkeypatch.setenv(TABLE_CAP_ENV, str(cap))
         intervals = [Interval(o, 2, m) for o in offsets] + [Interval(7, 5, m)]
@@ -577,17 +653,47 @@ class TestLogFold:
         assert dict(got.witness) == interval_product_witnesses(intervals)
 
     @pytest.mark.parametrize(
-        "m, lengths, rotate",
+        "m, intervals, fold, paths",
         [
-            (2003, [[3, 8, 12], [5, 9, 14]], True),  # short intervals at a small prime
-            (1000003, [[100] * 4, [100] * 3], True),  # a 6 * 10**7-cell table
-            (1000003, [[1000], [1000]], False),  # one 10**6-cell table
-            (100003, [[20000], [20000]], False),  # one FFT of 2**18 points
-            (10007, [[3000] * 3, [3000] * 3], False),  # FFTs, then pigeonhole
+            # short intervals at a small prime
+            (2003, [(0, n) for n in (3, 8, 12, 5, 9, 14)], "log", ["rotations"] * 5),
+            # tables while the nodes are small, then rotations, then pigeonhole
+            (1000003, [(0, 100)] * 7, "log", ["table"] * 2 + ["rotations"] * 3 + ["pigeonhole"]),
+            # two intervals keep the mask fold: one 10**6-cell table, one FFT
+            (1000003, [(0, 1000)] * 2, "mask", []),
+            (100003, [(0, 20000)] * 2, "mask", ["fft"]),
+            # FFTs, then pigeonhole
+            (10007, [(0, 3000)] * 6, "log", ["fft"] + ["pigeonhole"] * 4),
+            # the four rows of the interval-fold table in ROADMAP's Baseline
+            (4194301, [(0, 5)] * 7, "log", ["rotations"] * 6),
+            (999983, [(0, 15)] * 6, "log", ["table"] * 4 + ["rotations"]),
+            (100003, [(7, 10)] * 7, "log", ["rotations"] * 6),
+            (999983, [(0, 200)] * 2, "mask", []),
         ],
     )
-    def test_rule_rotates_where_tables_are_large(self, m, lengths, rotate):
-        assert prodcong.residues._rotations_pay(m, lengths) is rotate
+    def test_rule_paths(self, monkeypatch, m, intervals, fold, paths):
+        folds = count_calls(monkeypatch, "_log_fold")
+        taken = kernel_paths(monkeypatch)
+        iterated_interval_product([Interval(o, n, m) for o, n in intervals])
+        assert ("log" if folds else "mask", taken) == (fold, paths)
+
+    def test_solve_shapes_only_rotate(self, monkeypatch):
+        # the solve workload's intervals: primes 300-2500, 13 lengths spread
+        # over 1..s for s <= 15; every product rotates or is pigeonhole, and
+        # no table or FFT is built
+        tables = count_calls(monkeypatch, "_table_mask")
+        taken = kernel_paths(monkeypatch)
+        gen = stream(2500, "solve-shapes")
+        primes = primes_in_range(300, 2500)
+        for _ in range(40):
+            p = int(gen.choice(primes))
+            s = int(gen.integers(1, 16))
+            lengths = [1 + int((i + gen.random()) * s / 13) for i in range(13)]
+            ivs = [Interval(int(gen.integers(1, p - n)), n, p) for n in lengths]
+            report = solve(SolveInstance(p, 2, 3, 5, tuple(ivs[:6]), tuple(ivs[6:])))
+            assert report.witness is None or verify_witness(report.instance, report.witness)
+        assert tables == []
+        assert set(taken) <= {"rotations", "pigeonhole"} and "rotations" in taken
 
     def test_pigeonhole_fills_the_units(self):
         # |{1..3}| + |{1..98}| > 100: every unit is a product, and witnesses
@@ -601,9 +707,8 @@ class TestLogFold:
     def test_solve_memory_near_a_million(self, top, bound):
         # 13 seeded intervals of lengths 1..top mod 999983, the field context
         # built inside the bound. The mask fold keeps a p-entry mask per node:
-        # it peaked at 25.8 and 30.5 MB. Here the right side of the first
-        # instance takes the discrete-log fold (15.0 MB); both sides of the
-        # second keep the mask fold by _rotations_pay (30.5 MB)
+        # it peaked at 25.8 and 30.5 MB. Here every side takes the
+        # discrete-log fold (6.0 and 12.5 MB)
         p = 999983
         gen = stream(p, "log-fold-memory")
         lengths = gen.integers(1, top + 1, size=13).tolist()
